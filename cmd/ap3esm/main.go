@@ -2,7 +2,7 @@
 // configurations (scale-mapped to runnable grids) and reports diagnostics
 // and the measured SYPD.
 //
-//	ap3esm -config 25v10 -days 1 -ranks 2 -backend Host -mixed -schedule conc
+//	ap3esm -config 25v10 -days 1 -ranks 2 -backend Host -mixed
 package main
 
 import (
@@ -34,7 +34,6 @@ func main() {
 	ckEvery := flag.Int("checkpoint-every", 0, "checkpoint every N coupling steps and auto-recover from faults (0 = off)")
 	ckDir := flag.String("restart-dir", "restart", "restart-set directory for -checkpoint-every")
 	maxRetries := flag.Int("max-retries", 3, "consecutive failed recoveries before giving up")
-	schedName := flag.String("schedule", "seq", "component schedule: seq (sequential groups) or conc (overlapped ocean/atmosphere)")
 	atmDecomp := flag.Bool("atm-decomp", true, "domain-decompose the atmosphere and land across ranks (false = replicated baseline dataflow)")
 	ocnDecomp := flag.Bool("ocn-decomp", true, "domain-decompose the ocean and sea ice across ranks (false = replicated baseline dataflow)")
 	remapName := flag.String("remap", "nn", "air-sea flux remap: nn (nearest-neighbour) or cons (first-order conservative)")
@@ -45,10 +44,6 @@ func main() {
 	flag.Parse()
 
 	cfg, err := core.ConfigForLabel(*label)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(*schedName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,9 +91,9 @@ func main() {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	stop := start.Add(time.Duration(*days*24) * time.Hour)
 
-	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %s backend, %v, %s schedule, %s kernels\n",
+	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %s backend, %v, %s kernels\n",
 		cfg.Label, cfg.PaperAtmKm, cfg.PaperOcnKm, cfg.AtmLevel,
-		cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev, *ranks, sp.Name(), cfg.Policy, sched, kprec)
+		cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev, *ranks, sp.Name(), cfg.Policy, kprec)
 
 	par.Run(*ranks, func(c *par.Comm) {
 		var observer obs.Observer = obs.Nop{}
@@ -115,7 +110,6 @@ func main() {
 				core.WithInterval(start, stop),
 				core.WithSpace(sp),
 				core.WithObserver(observer),
-				core.WithSchedule(sched),
 				core.WithRemap(remap),
 				core.WithAudit(*audit),
 				core.WithAtmDecomp(*atmDecomp),

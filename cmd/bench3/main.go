@@ -2,12 +2,12 @@
 // the coupled steps/sec of the decomposed dataflow against the historical
 // replicated one at 1, 2, and 4 ranks, the halo-exchange traffic the
 // decomposition adds, and the steady-state allocation count of the halo
-// hot path. It writes the result as BENCH_3.json next to bench2's
-// BENCH_2.json and validates its own output file before exiting — including
-// the acceptance gate that the decomposed dataflow is strictly faster than
-// the replicated one at the largest rank count.
+// hot path. It writes the result as BENCH_3.json and validates its own
+// output file before exiting — including the acceptance gate that the
+// decomposed dataflow is strictly faster than the replicated one at the
+// largest rank count.
 //
-//	bench3 [-config 25v10] [-steps 45] [-schedule seq] [-remap cons] [-out BENCH_3.json]
+//	bench3 [-config 25v10] [-steps 45] [-remap cons] [-out BENCH_3.json]
 package main
 
 import (
@@ -42,14 +42,13 @@ type rankResult struct {
 	HaloBytes int64 `json:"halo_bytes"`
 }
 
-// result is the benchmark record scripts/check.sh consumes.
+// result is the benchmark record `make check` consumes.
 type result struct {
-	Name     string `json:"name"`
-	Config   string `json:"config"`
-	Steps    int    `json:"steps"`
-	Backend  string `json:"backend"`
-	Schedule string `json:"schedule"`
-	Remap    string `json:"remap"`
+	Name    string `json:"name"`
+	Config  string `json:"config"`
+	Steps   int    `json:"steps"`
+	Backend string `json:"backend"`
+	Remap   string `json:"remap"`
 
 	Results []rankResult `json:"results"`
 
@@ -66,16 +65,11 @@ func main() {
 	log.SetPrefix("bench3: ")
 	label := flag.String("config", "25v10", "coupled configuration label")
 	steps := flag.Int("steps", 45, "coupling steps to time per dataflow")
-	schedName := flag.String("schedule", "seq", "component schedule (seq or conc)")
 	remapName := flag.String("remap", "cons", "flux remap mode (nn or cons)")
 	out := flag.String("out", "BENCH_3.json", "output path")
 	flag.Parse()
 
 	cfg, err := core.ConfigForLabel(*label)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(*schedName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,18 +82,17 @@ func main() {
 
 	wall := time.Now()
 	res := result{
-		Name:     "atm-domain-decomposition",
-		Config:   cfg.Label,
-		Steps:    *steps,
-		Backend:  sp.Name(),
-		Schedule: sched.String(),
-		Remap:    remap.String(),
+		Name:    "atm-domain-decomposition",
+		Config:  cfg.Label,
+		Steps:   *steps,
+		Backend: sp.Name(),
+		Remap:   remap.String(),
 
 		HaloAllocsPerExchange: measureHaloAllocs(),
 	}
 	for _, ranks := range []int{1, 2, 4} {
-		rep := runDataflow(cfg, sched, remap, ranks, *steps, false, sp, start)
-		dec := runDataflow(cfg, sched, remap, ranks, *steps, true, sp, start)
+		rep := runDataflow(cfg, remap, ranks, *steps, false, sp, start)
+		dec := runDataflow(cfg, remap, ranks, *steps, true, sp, start)
 		rr := rankResult{
 			Ranks:                 ranks,
 			ReplicatedStepsPerSec: rep.stepsPerSec,
@@ -144,7 +137,7 @@ type dataflowRun struct {
 
 // runDataflow times `steps` coupling steps of a fresh model with the
 // atmosphere decomposition on or off.
-func runDataflow(cfg core.Config, sched core.Schedule, remap core.RemapMode, ranks, steps int, decomp bool, sp pp.Space, start time.Time) dataflowRun {
+func runDataflow(cfg core.Config, remap core.RemapMode, ranks, steps int, decomp bool, sp pp.Space, start time.Time) dataflowRun {
 	var r dataflowRun
 	par.Run(ranks, func(c *par.Comm) {
 		handle := obs.New(c.Rank(), nil)
@@ -152,7 +145,6 @@ func runDataflow(cfg core.Config, sched core.Schedule, remap core.RemapMode, ran
 			core.WithInterval(start, start.Add(24*time.Hour)),
 			core.WithSpace(sp),
 			core.WithObserver(handle),
-			core.WithSchedule(sched),
 			core.WithRemap(remap),
 			core.WithAtmDecomp(decomp))
 		if err != nil {
@@ -172,8 +164,8 @@ func runDataflow(cfg core.Config, sched core.Schedule, remap core.RemapMode, ran
 			r.stepsPerSec = float64(steps) / elapsed
 		}
 		reg := handle.Registry()
-		r.haloMsgs = reg.Counter("cpl.atm.halo.msgs").Value()
-		r.haloBytes = reg.Counter("cpl.atm.halo.bytes").Value()
+		r.haloMsgs = reg.Counter(obs.Labeled("cpl.halo.msgs", "component", "atm")).Value()
+		r.haloBytes = reg.Counter(obs.Labeled("cpl.halo.bytes", "component", "atm")).Value()
 	})
 	return r
 }
@@ -229,7 +221,7 @@ func mallocsPer(iters int, f func()) float64 {
 }
 
 // validate re-reads the written record with strict field checking and
-// sanity-checks the values — the schema contract scripts/check.sh relies
+// sanity-checks the values — the schema contract `make check` relies
 // on, including the acceptance gate: at the largest rank count the
 // decomposed dataflow must be strictly faster than the replicated one.
 func validate(path string) error {

@@ -10,7 +10,7 @@
 // from 4 to 8 ranks, and the decomposed dataflow must be strictly faster
 // than the replicated one at 8 and 16 ranks.
 //
-//	bench4 [-config 25v10] [-steps 45] [-schedule seq] [-remap cons] [-out BENCH_4.json]
+//	bench4 [-config 25v10] [-steps 45] [-remap cons] [-out BENCH_4.json]
 package main
 
 import (
@@ -52,14 +52,13 @@ type rankResult struct {
 	AtmHaloBytes int64 `json:"atm_halo_bytes"`
 }
 
-// result is the benchmark record scripts/check.sh consumes.
+// result is the benchmark record `make check` consumes.
 type result struct {
-	Name     string `json:"name"`
-	Config   string `json:"config"`
-	Steps    int    `json:"steps"`
-	Backend  string `json:"backend"`
-	Schedule string `json:"schedule"`
-	Remap    string `json:"remap"`
+	Name    string `json:"name"`
+	Config  string `json:"config"`
+	Steps   int    `json:"steps"`
+	Backend string `json:"backend"`
+	Remap   string `json:"remap"`
 
 	Results []rankResult `json:"results"`
 
@@ -80,16 +79,11 @@ func main() {
 	log.SetPrefix("bench4: ")
 	label := flag.String("config", "25v10", "coupled configuration label")
 	steps := flag.Int("steps", 45, "coupling steps to time per dataflow")
-	schedName := flag.String("schedule", "seq", "component schedule (seq or conc)")
 	remapName := flag.String("remap", "cons", "flux remap mode (nn or cons)")
 	out := flag.String("out", "BENCH_4.json", "output path")
 	flag.Parse()
 
 	cfg, err := core.ConfigForLabel(*label)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(*schedName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,12 +96,11 @@ func main() {
 
 	wall := time.Now()
 	res := result{
-		Name:     "ocn-2d-decomposition",
-		Config:   cfg.Label,
-		Steps:    *steps,
-		Backend:  sp.Name(),
-		Schedule: sched.String(),
-		Remap:    remap.String(),
+		Name:    "ocn-2d-decomposition",
+		Config:  cfg.Label,
+		Steps:   *steps,
+		Backend: sp.Name(),
+		Remap:   remap.String(),
 
 		Bench3Speedup4:           bench3Speedup4,
 		OcnHaloAllocsPerExchange: measureOcnHaloAllocs(),
@@ -116,8 +109,8 @@ func main() {
 		res.Bench3Speedup4 = s
 	}
 	for _, ranks := range []int{1, 2, 4, 8, 16} {
-		rep := runDataflow(cfg, sched, remap, ranks, *steps, false, sp, start)
-		dec := runDataflow(cfg, sched, remap, ranks, *steps, true, sp, start)
+		rep := runDataflow(cfg, remap, ranks, *steps, false, sp, start)
+		dec := runDataflow(cfg, remap, ranks, *steps, true, sp, start)
 		rr := rankResult{
 			Ranks:                 ranks,
 			ReplicatedStepsPerSec: rep.stepsPerSec,
@@ -173,7 +166,7 @@ type dataflowRun struct {
 // against the decomposed dataflow, and best-of-N damps scheduler noise on
 // an oversubscribed host — and reports the halo traffic of the last lap,
 // the deterministic steady-state volume of `steps` couplings.
-func runDataflow(cfg core.Config, sched core.Schedule, remap core.RemapMode, ranks, steps int, decomp bool, sp pp.Space, start time.Time) dataflowRun {
+func runDataflow(cfg core.Config, remap core.RemapMode, ranks, steps int, decomp bool, sp pp.Space, start time.Time) dataflowRun {
 	var r dataflowRun
 	par.Run(ranks, func(c *par.Comm) {
 		handle := obs.New(c.Rank(), nil)
@@ -181,7 +174,6 @@ func runDataflow(cfg core.Config, sched core.Schedule, remap core.RemapMode, ran
 			core.WithInterval(start, start.Add(240*time.Hour)),
 			core.WithSpace(sp),
 			core.WithObserver(handle),
-			core.WithSchedule(sched),
 			core.WithRemap(remap),
 			core.WithAtmDecomp(decomp),
 			core.WithOcnDecomp(decomp))
@@ -305,7 +297,7 @@ func readBench3Speedup(path string) (float64, error) {
 }
 
 // validate re-reads the written record with strict field checking and
-// enforces the acceptance gates scripts/check.sh relies on.
+// enforces the acceptance gates `make check` relies on.
 func validate(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {

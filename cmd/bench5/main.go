@@ -178,7 +178,7 @@ func measureDispatchAllocs() float64 {
 }
 
 // validate re-reads the written record with strict field checking and
-// enforces the acceptance gates scripts/check.sh relies on.
+// enforces the acceptance gates `make check` relies on.
 func validate(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {

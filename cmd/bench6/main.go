@@ -10,7 +10,7 @@
 // at least 1.6x at 8 ranks, and must not regress steps/sec at 2 ranks beyond
 // scheduler noise.
 //
-//	bench6 [-config 25v10] [-steps 45] [-schedule seq] [-out BENCH_6.json]
+//	bench6 [-config 25v10] [-steps 45] [-out BENCH_6.json]
 package main
 
 import (
@@ -65,14 +65,13 @@ type rankResult struct {
 	SpeedRatio float64 `json:"speed_ratio"`
 }
 
-// result is the benchmark record scripts/check.sh consumes.
+// result is the benchmark record `make check` consumes.
 type result struct {
-	Name     string `json:"name"`
-	Config   string `json:"config"`
-	Steps    int    `json:"steps"`
-	Backend  string `json:"backend"`
-	Schedule string `json:"schedule"`
-	Remap    string `json:"remap"`
+	Name    string `json:"name"`
+	Config  string `json:"config"`
+	Steps   int    `json:"steps"`
+	Backend string `json:"backend"`
+	Remap   string `json:"remap"`
 
 	Results []rankResult `json:"results"`
 
@@ -85,15 +84,10 @@ func main() {
 	log.SetPrefix("bench6: ")
 	label := flag.String("config", "25v10", "coupled configuration label")
 	steps := flag.Int("steps", 45, "coupling steps to time per wire format")
-	schedName := flag.String("schedule", "seq", "component schedule (seq or conc)")
 	out := flag.String("out", "BENCH_6.json", "output path")
 	flag.Parse()
 
 	cfg, err := core.ConfigForLabel(*label)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(*schedName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,16 +96,15 @@ func main() {
 
 	wall := time.Now()
 	res := result{
-		Name:     "wire-compression",
-		Config:   cfg.Label,
-		Steps:    *steps,
-		Backend:  sp.Name(),
-		Schedule: sched.String(),
-		Remap:    core.RemapNN.String(),
+		Name:    "wire-compression",
+		Config:  cfg.Label,
+		Steps:   *steps,
+		Backend: sp.Name(),
+		Remap:   core.RemapNN.String(),
 	}
 	for _, ranks := range []int{2, 4, 8, 16} {
-		f64 := runWire(cfg, sched, ranks, *steps, par.WireF64, sp, start)
-		gs := runWire(cfg, sched, ranks, *steps, par.WireGS32, sp, start)
+		f64 := runWire(cfg, ranks, *steps, par.WireF64, sp, start)
+		gs := runWire(cfg, ranks, *steps, par.WireGS32, sp, start)
 		rr := rankResult{Ranks: ranks, F64: f64, GS32: gs}
 		if gs.WireBytes > 0 {
 			rr.BytesReduction = float64(f64.WireBytes) / float64(gs.WireBytes)
@@ -148,7 +141,7 @@ func main() {
 // pack-buffer and encoding growth, and best-of-N damps scheduler noise on an
 // oversubscribed host. The traffic counters are read as deltas over the last
 // lap, the deterministic steady-state volume of `steps` couplings.
-func runWire(cfg core.Config, sched core.Schedule, ranks, steps int, wire par.WireFormat, sp pp.Space, start time.Time) wireRun {
+func runWire(cfg core.Config, ranks, steps int, wire par.WireFormat, sp pp.Space, start time.Time) wireRun {
 	var r wireRun
 	par.Run(ranks, func(c *par.Comm) {
 		handle := obs.New(c.Rank(), nil)
@@ -156,7 +149,6 @@ func runWire(cfg core.Config, sched core.Schedule, ranks, steps int, wire par.Wi
 			core.WithInterval(start, start.Add(240*time.Hour)),
 			core.WithSpace(sp),
 			core.WithObserver(handle),
-			core.WithSchedule(sched),
 			core.WithRemap(core.RemapNN),
 			core.WithWireCompression(wire))
 		if err != nil {
@@ -206,7 +198,7 @@ func runWire(cfg core.Config, sched core.Schedule, ranks, steps int, wire par.Wi
 }
 
 // validate re-reads the written record with strict field checking and
-// enforces the acceptance gates scripts/check.sh relies on.
+// enforces the acceptance gates `make check` relies on.
 func validate(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -42,7 +42,7 @@ const ingestTolerance = 0.98
 // of magnitude of headroom over this gate.
 const minPointQPS = 1000
 
-// result is the benchmark record scripts/check.sh consumes.
+// result is the benchmark record `make check` consumes.
 type result struct {
 	Name   string `json:"name"`
 	Config string `json:"config"`
@@ -327,7 +327,7 @@ func liveIngest(cfg core.Config, steps int, res *result) {
 }
 
 // validate re-reads the written record with strict field checking and
-// enforces the acceptance gates scripts/check.sh relies on.
+// enforces the acceptance gates `make check` relies on.
 func validate(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {

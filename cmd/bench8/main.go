@@ -9,7 +9,7 @@
 // 8 ranks. A timing ratio only holds statistically over a long enough
 // window, so short smoke runs check the schema only.
 //
-//	bench8 [-config 25v10] [-steps 45] [-schedule seq] [-out BENCH_8.json]
+//	bench8 [-config 25v10] [-steps 45] [-out BENCH_8.json]
 package main
 
 import (
@@ -51,13 +51,12 @@ type rankResult struct {
 	SpeedRatio float64 `json:"speed_ratio"`
 }
 
-// result is the benchmark record scripts/check.sh consumes.
+// result is the benchmark record `make check` consumes.
 type result struct {
-	Name     string `json:"name"`
-	Config   string `json:"config"`
-	Steps    int    `json:"steps"`
-	Backend  string `json:"backend"`
-	Schedule string `json:"schedule"`
+	Name    string `json:"name"`
+	Config  string `json:"config"`
+	Steps   int    `json:"steps"`
+	Backend string `json:"backend"`
 
 	Results []rankResult `json:"results"`
 
@@ -70,16 +69,11 @@ func main() {
 	log.SetPrefix("bench8: ")
 	label := flag.String("config", "25v10", "coupled configuration label")
 	steps := flag.Int("steps", 45, "coupling steps to time per kernel precision")
-	schedName := flag.String("schedule", "seq", "component schedule (seq or conc)")
 	backend := flag.String("backend", "Serial", "execution space: Serial, Host, CPE")
 	out := flag.String("out", "BENCH_8.json", "output path")
 	flag.Parse()
 
 	cfg, err := core.ConfigForLabel(*label)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sched, err := core.ParseSchedule(*schedName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,15 +85,14 @@ func main() {
 
 	wall := time.Now()
 	res := result{
-		Name:     "kernel-precision",
-		Config:   cfg.Label,
-		Steps:    *steps,
-		Backend:  sp.Name(),
-		Schedule: sched.String(),
+		Name:    "kernel-precision",
+		Config:  cfg.Label,
+		Steps:   *steps,
+		Backend: sp.Name(),
 	}
 	for _, ranks := range []int{1, 8} {
-		f64 := runPrec(cfg, sched, ranks, *steps, pp.PrecF64, sp, start)
-		mx := runPrec(cfg, sched, ranks, *steps, pp.PrecMixed, sp, start)
+		f64 := runPrec(cfg, ranks, *steps, pp.PrecF64, sp, start)
+		mx := runPrec(cfg, ranks, *steps, pp.PrecMixed, sp, start)
 		rr := rankResult{Ranks: ranks, F64: f64, Mixed: mx}
 		if f64.StepsPerSec > 0 {
 			rr.SpeedRatio = mx.StepsPerSec / f64.StepsPerSec
@@ -132,13 +125,12 @@ func main() {
 // keeping the fastest — the first lap doubles as warm-up for the one-time
 // scratch and geometry-table builds, and best-of-N damps scheduler noise on
 // an oversubscribed host.
-func runPrec(cfg core.Config, sched core.Schedule, ranks, steps int, kp pp.Prec, sp pp.Space, start time.Time) precRun {
+func runPrec(cfg core.Config, ranks, steps int, kp pp.Prec, sp pp.Space, start time.Time) precRun {
 	var r precRun
 	par.Run(ranks, func(c *par.Comm) {
 		e, err := core.NewWithOptions(cfg, c,
 			core.WithInterval(start, start.Add(240*time.Hour)),
 			core.WithSpace(sp),
-			core.WithSchedule(sched),
 			core.WithKernelPrecision(kp))
 		if err != nil {
 			log.Fatal(err)
@@ -163,7 +155,7 @@ func runPrec(cfg core.Config, sched core.Schedule, ranks, steps int, kp pp.Prec,
 }
 
 // validate re-reads the written record with strict field checking and
-// enforces the acceptance gates scripts/check.sh relies on.
+// enforces the acceptance gates `make check` relies on.
 func validate(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -8,7 +8,7 @@
 //
 // Exits nonzero when the quorum is missed or when -expect-completed /
 // -expect-quarantined are set (≥ 0) and the report disagrees — the form
-// scripts/check.sh uses as its degraded-completion lap.
+// `make check` uses as its degraded-completion lap.
 package main
 
 import (

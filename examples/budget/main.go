@@ -33,7 +33,6 @@ func main() {
 		par.Run(ranks, func(c *par.Comm) {
 			e, err := core.NewWithOptions(cfg, c,
 				core.WithSpace(pp.Serial{}),
-				core.WithSchedule(core.ScheduleConc),
 				core.WithRemap(remap),
 				core.WithAudit(true))
 			if err != nil {
@@ -55,7 +54,7 @@ func main() {
 	nn, _ := run(core.RemapNN)
 	cons, consReport := run(core.RemapCons)
 
-	fmt.Printf("%s, %d ranks, %d base steps, concurrent schedule\n\n", cfg.Label, ranks, steps)
+	fmt.Printf("%s, %d ranks, %d base steps\n\n", cfg.Label, ranks, steps)
 	fmt.Println("conservative-remap ledger (one line per ocean coupling interval):")
 	fmt.Print(consReport)
 	fmt.Println()

@@ -64,7 +64,7 @@ func globalCoupledState(e *ESM) []float64 {
 // runDecomp advances a fresh audited conservative-remap model and returns
 // the assembled global state, rank 0's gathered sea-surface height, and the
 // worst audited residuals.
-func runDecomp(t *testing.T, ranks int, sched Schedule, decomp bool, steps int) (state, eta []float64, maxHeat, maxFW float64) {
+func runDecomp(t *testing.T, ranks int, decomp bool, steps int) (state, eta []float64, maxHeat, maxFW float64) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -72,7 +72,7 @@ func runDecomp(t *testing.T, ranks int, sched Schedule, decomp bool, steps int) 
 	}
 	par.Run(ranks, func(c *par.Comm) {
 		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}),
-			WithSchedule(sched), WithRemap(RemapCons), WithAudit(true),
+			WithRemap(RemapCons), WithAudit(true),
 			WithAtmDecomp(decomp))
 		if err != nil {
 			t.Error(err)
@@ -106,11 +106,11 @@ func runDecomp(t *testing.T, ranks int, sched Schedule, decomp bool, steps int) 
 // The tentpole acceptance test: the decomposed atmosphere + land, the 2D
 // block-decomposed ocean + ice, and the distributed conservative coupling
 // path reproduce the 1-rank replicated run bit-for-bit at 2, 4, 8, and 16
-// ranks, under both schedules, while the conservation audit stays
-// gate-clean at every rank count.
+// ranks while the conservation audit stays gate-clean at every rank count.
+// The "/seq" subtest suffix keeps the names of earlier releases.
 func TestDecompRankCountInvariance(t *testing.T) {
 	const steps = 25 // five audited ocean couplings
-	refState, refEta, refHeat, refFW := runDecomp(t, 1, ScheduleSeq, true, steps)
+	refState, refEta, refHeat, refFW := runDecomp(t, 1, true, steps)
 	if refHeat > 1e-10 || refFW > 1e-10 {
 		t.Fatalf("1-rank residuals %.3e/%.3e exceed the 1e-10 gate", refHeat, refFW)
 	}
@@ -119,27 +119,25 @@ func TestDecompRankCountInvariance(t *testing.T) {
 		counts = []int{2, 8}
 	}
 	for _, ranks := range counts {
-		for _, sched := range []Schedule{ScheduleSeq, ScheduleConc} {
-			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, sched), func(t *testing.T) {
-				state, eta, maxHeat, maxFW := runDecomp(t, ranks, sched, true, steps)
-				if maxHeat > 1e-10 || maxFW > 1e-10 {
-					t.Errorf("residuals %.3e/%.3e exceed the 1e-10 gate", maxHeat, maxFW)
+		t.Run(fmt.Sprintf("ranks=%d/seq", ranks), func(t *testing.T) {
+			state, eta, maxHeat, maxFW := runDecomp(t, ranks, true, steps)
+			if maxHeat > 1e-10 || maxFW > 1e-10 {
+				t.Errorf("residuals %.3e/%.3e exceed the 1e-10 gate", maxHeat, maxFW)
+			}
+			if len(state) != len(refState) {
+				t.Fatalf("state sizes differ: %d vs %d", len(state), len(refState))
+			}
+			for i := range state {
+				if state[i] != refState[i] {
+					t.Fatalf("state[%d] = %v, 1-rank reference %v", i, state[i], refState[i])
 				}
-				if len(state) != len(refState) {
-					t.Fatalf("state sizes differ: %d vs %d", len(state), len(refState))
+			}
+			for i := range eta {
+				if eta[i] != refEta[i] {
+					t.Fatalf("eta[%d] = %v, 1-rank reference %v", i, eta[i], refEta[i])
 				}
-				for i := range state {
-					if state[i] != refState[i] {
-						t.Fatalf("state[%d] = %v, 1-rank reference %v", i, state[i], refState[i])
-					}
-				}
-				for i := range eta {
-					if eta[i] != refEta[i] {
-						t.Fatalf("eta[%d] = %v, 1-rank reference %v", i, eta[i], refEta[i])
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -148,8 +146,8 @@ func TestDecompRankCountInvariance(t *testing.T) {
 // count, the A/B the bench harness relies on.
 func TestDecompMatchesReplicatedSameRanks(t *testing.T) {
 	const steps = 15
-	repState, repEta, _, _ := runDecomp(t, 2, ScheduleSeq, false, steps)
-	decState, decEta, _, _ := runDecomp(t, 2, ScheduleSeq, true, steps)
+	repState, repEta, _, _ := runDecomp(t, 2, false, steps)
+	decState, decEta, _, _ := runDecomp(t, 2, true, steps)
 	for i := range decState {
 		if decState[i] != repState[i] {
 			t.Fatalf("state[%d]: decomposed %v vs replicated %v", i, decState[i], repState[i])

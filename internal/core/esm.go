@@ -52,16 +52,6 @@ type ESM struct {
 	couplingSteps int
 	ocnStepsPer   int
 
-	// Component schedule state (see schedule.go): the schedule selector,
-	// the persistent atmosphere-broadcast buffer of the concurrent
-	// schedule's single-writer atmosphere, the join channel of the ocean
-	// goroutine, and the overlap-fraction accumulator.
-	schedule   Schedule
-	atmPack    []float64
-	ocnDone    chan time.Duration
-	overlapSum float64
-	overlapN   int
-
 	// Flux remap mode, the conservation-audit ledger (nil when auditing is
 	// off), and the persistent per-atmosphere-cell flux-part buffers used by
 	// the conservative remap and the audit's export-side integrals (nil when
@@ -197,13 +187,11 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	e := &ESM{
 		Cfg: cfg, Comm: c,
 		Atm: atm, Ocn: ocn, Ice: ice, Lnd: lnd,
-		Rg:       NewRegridder(atm.Mesh, g),
-		Clock:    clk,
-		obs:      ob,
-		schedule: opt.schedule,
-		ocnDone:  make(chan time.Duration, 1),
-		remap:    opt.remap,
-		wire:     opt.wire,
+		Rg:    NewRegridder(atm.Mesh, g),
+		Clock: clk,
+		obs:   ob,
+		remap: opt.remap,
+		wire:  opt.wire,
 	}
 
 	// Route the unmapped atmosphere cells — non-land cells whose spiral
@@ -300,16 +288,14 @@ func abs(x int) int {
 
 // Step advances one coupling interval; returns false when the clock is done.
 //
-// Both schedules run one shared dataflow per base step: (1) when the ocean
+// Every base step runs one dataflow, in this order: (1) when the ocean
 // couples this interval, import its air–sea fluxes from the currently
 // exported surface state — the previous interval's export, which stays
-// frozen until the export phase (the import barrier); (2) advance the two
-// independent component groups, the ocean's baroclinic substeps and the
-// atmosphere + land step, which read and write disjoint state; (3) couple
+// frozen until the export phase (the import barrier) — and run its
+// baroclinic substeps; (2) advance the atmosphere + land group; (3) couple
 // the sea ice and export the new ocean surface to the atmosphere (the
-// export barrier). ScheduleSeq runs the groups back to back; ScheduleConc
-// overlaps them — bit-for-bit identically, because nothing crosses between
-// the barriers either way.
+// export barrier). The ocean and atmosphere groups read and write disjoint
+// state between the two barriers.
 func (e *ESM) Step() bool {
 	ringing, ok := e.Clock.Advance()
 	if !ok {
@@ -326,21 +312,17 @@ func (e *ESM) Step() bool {
 			ocnRings = true
 		}
 	}
-	if e.schedule == ScheduleConc && ocnRings {
-		e.stepConcurrent(atmRings, iceRings)
-	} else {
-		if ocnRings {
-			e.timed("ocn", func() {
-				e.oceanImport()
-				e.oceanSubsteps()
-			})
-		}
-		if atmRings {
-			e.timed("atm", e.atmosphereStep)
-		}
-		if iceRings {
-			e.timed("ice", e.iceStep)
-		}
+	if ocnRings {
+		e.timed("ocn", func() {
+			e.oceanImport()
+			e.oceanSubsteps()
+		})
+	}
+	if atmRings {
+		e.timed("atm", e.atmosphereStep)
+	}
+	if iceRings {
+		e.timed("ice", e.iceStep)
 	}
 	e.couplingSteps++
 	e.publishWireRatio()
@@ -389,24 +371,10 @@ func (e *ESM) RunDays(days float64) int {
 // atmosphereStep runs one atmosphere model step plus the direct land
 // exchange (the land model bypasses the coupler, §5.1.1). Decomposed, every
 // rank steps its own patch and the halo exchanges inside StepModel are the
-// only cross-rank traffic — there is no atmosphere broadcast any more.
-// Replicated under the sequential schedule every rank computes the
-// atmosphere redundantly; replicated under the concurrent schedule computes
-// it once on rank 0 and broadcasts the step's outputs, which is bit-for-bit
-// the same state on every rank while freeing the other ranks' time inside
-// the overlap window.
+// only cross-rank traffic; replicated, every rank computes the atmosphere
+// redundantly.
 func (e *ESM) atmosphereStep() {
-	switch {
-	case e.dec != nil:
-		e.Atm.StepModel()
-	case e.schedule == ScheduleConc && e.Comm.Size() > 1:
-		if e.Comm.Rank() == 0 {
-			e.Atm.StepModel()
-		}
-		e.bcastAtmStep()
-	default:
-		e.Atm.StepModel()
-	}
+	e.Atm.StepModel()
 	e.landStep()
 }
 
@@ -494,12 +462,11 @@ const (
 // oceanImport is the ocean group's import barrier — the flux coupler's job
 // in CPL7: compute the air–sea fluxes and hand them to the ocean. Everything
 // it reads from the atmosphere and ice is the state exported at the end of
-// the previous base step, so it runs before the groups advance (on the
-// driver goroutine under both schedules, which also makes the audit's
-// collectives safe). RemapNN computes fluxes on the ocean grid from the
-// nearest atmosphere cell; RemapCons computes them per atmosphere cell and
-// delivers the conservative overlap average. When auditing, the ledger
-// records the interval's interface and storage terms afterwards.
+// the previous base step, so it runs before the components advance. RemapNN
+// computes fluxes on the ocean grid from the nearest atmosphere cell;
+// RemapCons computes them per atmosphere cell and delivers the conservative
+// overlap average. When auditing, the ledger records the interval's
+// interface and storage terms afterwards.
 func (e *ESM) oceanImport() {
 	if e.af != nil {
 		e.computeAtmFluxes()
@@ -768,8 +735,7 @@ func (e *ESM) auditRecord() {
 func (e *ESM) Budget() *budget.Ledger { return e.ledger }
 
 // oceanSubsteps integrates the ocean over its coupling interval — the
-// baroclinic sub-step loop that the concurrent schedule overlaps with the
-// atmosphere + land group. It touches only ocean state and the ocean
+// baroclinic sub-step loop. It touches only ocean state and the ocean
 // block's point-to-point halo traffic; the refreshed surface is exported
 // to the atmosphere afterwards in iceStep, the base step's export phase.
 func (e *ESM) oceanSubsteps() {

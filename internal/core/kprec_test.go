@@ -12,7 +12,7 @@ import (
 // runKprec advances a fresh audited conservative-remap model with the given
 // kernel precision and returns rank 0's per-field global state plus the
 // worst audited residuals — the kernel-precision twin of runWire.
-func runKprec(t *testing.T, ranks int, sched Schedule, kp pp.Prec, steps int) (fields map[string][]float64, maxHeat, maxFW float64) {
+func runKprec(t *testing.T, ranks int, kp pp.Prec, steps int) (fields map[string][]float64, maxHeat, maxFW float64) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -20,7 +20,7 @@ func runKprec(t *testing.T, ranks int, sched Schedule, kp pp.Prec, steps int) (f
 	}
 	par.Run(ranks, func(c *par.Comm) {
 		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}),
-			WithSchedule(sched), WithRemap(RemapCons), WithAudit(true),
+			WithRemap(RemapCons), WithAudit(true),
 			WithKernelPrecision(kp))
 		if err != nil {
 			t.Error(err)
@@ -45,7 +45,7 @@ func runKprec(t *testing.T, ranks int, sched Schedule, kp pp.Prec, steps int) (f
 // The gate the mixed-precision kernels ride behind: with the momentum and
 // continuity dynamics running their float32 instantiations, the coupled
 // conservation audit must stay within the same 1e-10 residual gate as f64,
-// at 2, 4, and 8 ranks under both schedules. This holds because the
+// at 2, 4, and 8 ranks. This holds because the
 // accounting-sensitive kernels are float64 by policy — the ocean pressure
 // integral, split correction, and tracer transport, and the atmosphere's
 // geopotential integral, continuity, and transport — and flux-form
@@ -58,14 +58,12 @@ func TestKernelPrecisionMixedConservationAudit(t *testing.T) {
 		counts = []int{2, 8}
 	}
 	for _, ranks := range counts {
-		for _, sched := range []Schedule{ScheduleSeq, ScheduleConc} {
-			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, sched), func(t *testing.T) {
-				_, maxHeat, maxFW := runKprec(t, ranks, sched, pp.PrecMixed, steps)
-				if maxHeat > 1e-10 || maxFW > 1e-10 {
-					t.Errorf("mixed residuals %.3e/%.3e exceed the 1e-10 gate", maxHeat, maxFW)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("ranks=%d/seq", ranks), func(t *testing.T) {
+			_, maxHeat, maxFW := runKprec(t, ranks, pp.PrecMixed, steps)
+			if maxHeat > 1e-10 || maxFW > 1e-10 {
+				t.Errorf("mixed residuals %.3e/%.3e exceed the 1e-10 gate", maxHeat, maxFW)
+			}
+		})
 	}
 }
 
@@ -79,11 +77,11 @@ func TestKernelPrecisionMixedConservationAudit(t *testing.T) {
 // rather than rounding it.
 func TestKernelPrecisionMixedStateWithinBudget(t *testing.T) {
 	const steps = 25
-	ref, refHeat, refFW := runKprec(t, 2, ScheduleSeq, pp.PrecF64, steps)
+	ref, refHeat, refFW := runKprec(t, 2, pp.PrecF64, steps)
 	if refHeat > 1e-10 || refFW > 1e-10 {
 		t.Fatalf("f64 reference residuals %.3e/%.3e exceed the 1e-10 gate", refHeat, refFW)
 	}
-	got, _, _ := runKprec(t, 2, ScheduleSeq, pp.PrecMixed, steps)
+	got, _, _ := runKprec(t, 2, pp.PrecMixed, steps)
 	for _, f := range wireFieldNames {
 		a, b := ref[f], got[f]
 		if len(a) != len(b) {
@@ -118,8 +116,8 @@ func TestKernelPrecisionMixedStateWithinBudget(t *testing.T) {
 // then pin.
 func TestKernelPrecisionF64DefaultBitIdentical(t *testing.T) {
 	const steps = 15
-	explicit, _, _ := runKprec(t, 2, ScheduleSeq, pp.PrecF64, steps)
-	byDefault, _, _, _ := runWire(t, 2, ScheduleSeq, par.WireF64, steps)
+	explicit, _, _ := runKprec(t, 2, pp.PrecF64, steps)
+	byDefault, _, _, _ := runWire(t, 2, par.WireF64, steps)
 	for _, f := range wireFieldNames {
 		for i := range byDefault[f] {
 			if byDefault[f][i] != explicit[f][i] {

@@ -13,7 +13,6 @@ type options struct {
 	start, stop time.Time
 	sp          pp.Space
 	obs         obs.Observer
-	schedule    Schedule
 	remap       RemapMode
 	audit       bool
 	atmDecomp   bool
@@ -43,15 +42,6 @@ func WithSpace(sp pp.Space) Option {
 // timings in memory (no sink), preserving the classic TimingReport.
 func WithObserver(o obs.Observer) Option {
 	return func(opt *options) { opt.obs = o }
-}
-
-// WithSchedule selects how the component groups advance within a coupling
-// interval: ScheduleSeq (default) runs them strictly in sequence on every
-// rank, ScheduleConc overlaps the ocean's baroclinic substeps with the
-// atmosphere + land group and computes the replicated atmosphere once
-// instead of redundantly. Both schedules are bit-for-bit identical.
-func WithSchedule(s Schedule) Option {
-	return func(opt *options) { opt.schedule = s }
 }
 
 // WithRemap selects the air–sea flux remap mode: RemapNN (default, the

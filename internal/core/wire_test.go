@@ -45,7 +45,7 @@ func splitCoupledState(e *ESM, buf []float64) map[string][]float64 {
 // runWire advances a fresh audited conservative-remap model under the given
 // wire format and returns rank 0's per-field global state, the worst audited
 // residuals, and the cpl.wire.ratio gauge value (0 when unpublished).
-func runWire(t *testing.T, ranks int, sched Schedule, wire par.WireFormat, steps int) (fields map[string][]float64, maxHeat, maxFW, ratio float64) {
+func runWire(t *testing.T, ranks int, wire par.WireFormat, steps int) (fields map[string][]float64, maxHeat, maxFW, ratio float64) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -53,7 +53,7 @@ func runWire(t *testing.T, ranks int, sched Schedule, wire par.WireFormat, steps
 	}
 	par.Run(ranks, func(c *par.Comm) {
 		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}),
-			WithSchedule(sched), WithRemap(RemapCons), WithAudit(true),
+			WithRemap(RemapCons), WithAudit(true),
 			WithWireCompression(wire))
 		if err != nil {
 			t.Error(err)
@@ -80,8 +80,8 @@ func runWire(t *testing.T, ranks int, sched Schedule, wire par.WireFormat, steps
 
 // The gate the compression rides behind: with group-scaled FP32 on every
 // halo and on the nearest-neighbour rearrangers, the conservation audit must
-// stay within its 1e-10 residual gate at 2, 4, and 8 ranks under both
-// schedules. This holds because the conservative flux router is exempt from
+// stay within its 1e-10 residual gate at 2, 4, and 8 ranks. This holds
+// because the conservative flux router is exempt from
 // compression — the delivered flux integrals are the same f64 values both
 // sides of the ledger tally — while halo quantization only perturbs
 // redundantly recomputed overlap state.
@@ -92,17 +92,15 @@ func TestWireGS32ConservationAudit(t *testing.T) {
 		counts = []int{2, 8}
 	}
 	for _, ranks := range counts {
-		for _, sched := range []Schedule{ScheduleSeq, ScheduleConc} {
-			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, sched), func(t *testing.T) {
-				_, maxHeat, maxFW, ratio := runWire(t, ranks, sched, par.WireGS32, steps)
-				if maxHeat > 1e-10 || maxFW > 1e-10 {
-					t.Errorf("gs32 residuals %.3e/%.3e exceed the 1e-10 gate", maxHeat, maxFW)
-				}
-				if ratio < 1.6 {
-					t.Errorf("cpl.wire.ratio = %.3f, want ≥ 1.6 (compression inactive?)", ratio)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("ranks=%d/seq", ranks), func(t *testing.T) {
+			_, maxHeat, maxFW, ratio := runWire(t, ranks, par.WireGS32, steps)
+			if maxHeat > 1e-10 || maxFW > 1e-10 {
+				t.Errorf("gs32 residuals %.3e/%.3e exceed the 1e-10 gate", maxHeat, maxFW)
+			}
+			if ratio < 1.6 {
+				t.Errorf("cpl.wire.ratio = %.3f, want ≥ 1.6 (compression inactive?)", ratio)
+			}
+		})
 	}
 }
 
@@ -113,11 +111,11 @@ func TestWireGS32ConservationAudit(t *testing.T) {
 // bounded well below any physically meaningful scale.
 func TestWireGS32StateWithinBudget(t *testing.T) {
 	const steps = 25
-	ref, refHeat, refFW, _ := runWire(t, 2, ScheduleSeq, par.WireF64, steps)
+	ref, refHeat, refFW, _ := runWire(t, 2, par.WireF64, steps)
 	if refHeat > 1e-10 || refFW > 1e-10 {
 		t.Fatalf("f64 reference residuals %.3e/%.3e exceed the 1e-10 gate", refHeat, refFW)
 	}
-	got, _, _, _ := runWire(t, 2, ScheduleSeq, par.WireGS32, steps)
+	got, _, _, _ := runWire(t, 2, par.WireGS32, steps)
 	for _, f := range wireFieldNames {
 		a, b := ref[f], got[f]
 		if len(a) != len(b) {
@@ -152,11 +150,11 @@ func TestWireGS32StateWithinBudget(t *testing.T) {
 // counts.
 func TestWireF64DefaultBitIdentical(t *testing.T) {
 	const steps = 15
-	explicit, _, _, ratio := runWire(t, 2, ScheduleSeq, par.WireF64, steps)
+	explicit, _, _, ratio := runWire(t, 2, par.WireF64, steps)
 	if ratio != 0 {
 		t.Errorf("cpl.wire.ratio published under f64: %v", ratio)
 	}
-	baseState, _, _, _ := runDecomp(t, 2, ScheduleSeq, true, steps)
+	baseState, _, _, _ := runDecomp(t, 2, true, steps)
 	var base map[string][]float64
 	{
 		cfg, err := ConfigForLabel("25v10")

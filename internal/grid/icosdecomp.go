@@ -109,10 +109,11 @@ type HaloObserver interface {
 	AddCount(name string, delta int64)
 }
 
-// exchange message tags: disjoint from the tripolar Block's 1000–1004 and
-// the coupler rearranger's 7100, so the concurrent schedule can run the
-// atmosphere halo on the driver goroutine while the ocean goroutine drains
-// its own halo traffic on the same mailboxes.
+// exchange message tags: disjoint from the tripolar Block's 1000–1004, the
+// tripolar decomposition's 2000–2004 and the coupler rearranger's 7100.
+// Point-to-point matching is per (source, tag) on mailboxes every component
+// shares, so an atmosphere halo message can never be consumed by another
+// component's exchange.
 const (
 	tagHaloCells = 6000
 	tagHaloEdges = 6001
@@ -339,8 +340,7 @@ func (d *IcosDecomp) InExtEdge(e int) bool { return d.inExtEdge[e] }
 func (d *IcosDecomp) NOwned() int { return d.C1 - d.C0 }
 
 // SetObserver attaches the halo traffic counters:
-// cpl.halo.{msgs,bytes} with component="atm", plus the deprecated
-// cpl.atm.halo.* aliases for one release.
+// cpl.halo.{msgs,bytes} with component="atm".
 func (d *IcosDecomp) SetObserver(o HaloObserver) { d.obs = o }
 
 // SetWire selects the halo wire format. Under par.WireGS32 every halo
@@ -355,8 +355,7 @@ func (d *IcosDecomp) Wire() par.WireFormat { return d.wire }
 // ExchangeCells fills the ring-1 halo of a cell-centred field with nlev
 // levels laid out [k*nCells + c]: each peer receives this rank's owned
 // boundary cells and contributes the halo cells it owns. Zero steady-state
-// allocations; safe concurrently with the ocean's halo traffic (disjoint
-// tags).
+// allocations; its tags are disjoint from the ocean's halo traffic.
 func (d *IcosDecomp) ExchangeCells(f []float64, nlev int) {
 	d.cellPar ^= 1
 	d.exchange(f, nlev, d.M.NCells(), tagHaloCells, d.cellSend, d.cellRecv,
@@ -454,10 +453,6 @@ func (d *IcosDecomp) exchange(f []float64, nlev, stride, tag int, send, recv [][
 	if d.obs != nil && len(d.Peers) > 0 {
 		d.obs.AddCount(ctrHaloMsgsAtm, int64(len(d.Peers)))
 		d.obs.AddCount(ctrHaloBytesAtm, wireBytes)
-		// Deprecated aliases, kept one release: the pre-unification flat
-		// names, so dashboards keyed on cpl.atm.halo.* keep reading.
-		d.obs.AddCount("cpl.atm.halo.msgs", int64(len(d.Peers)))
-		d.obs.AddCount("cpl.atm.halo.bytes", wireBytes)
 		d.obs.AddCount(ctrWireRawBytes, rawBytes)
 		d.obs.AddCount(ctrWireBytes, wireBytes)
 	}

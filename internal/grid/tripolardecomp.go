@@ -104,8 +104,8 @@ type HaloField struct {
 
 // Halo exchange message tags: disjoint from Block's 1000–1004, the
 // icosahedral decomposition's 6000–6001, and the coupler rearranger's 7100,
-// so the concurrent schedule can drain ocean halo traffic on the component
-// goroutine while the atmosphere exchanges on the driver.
+// so an ocean halo message can never be consumed by the atmosphere's
+// exchange or a coupling rearrange on the shared mailboxes.
 const (
 	tagTriSouth = 2000 + iota // carries a block's bottom owned rows, travelling south
 	tagTriNorth               // top owned rows, travelling north

@@ -115,36 +115,6 @@ func (o *Obs) SetGauge(name string, v float64) { o.reg.Gauge(name).Set(v) }
 // ObserveValue implements Observer.
 func (o *Obs) ObserveValue(name string, v float64) { o.reg.Histogram(name).Observe(v) }
 
-// AddSection accumulates d directly into the named section, outside the
-// span stack. Concurrent component groups need this: spans nest per Obs
-// (per rank), so a region whose duration is measured off the rank's driver
-// goroutine cannot open a span without corrupting the timeline — its wall
-// time is folded in here instead. Emits the same timeline event a closed
-// span of that duration ending now would.
-func (o *Obs) AddSection(name string, d time.Duration) {
-	o.mu.Lock()
-	sec := o.sections[name]
-	if sec == nil {
-		sec = &section{}
-		o.sections[name] = sec
-	}
-	sec.total += d
-	sec.calls++
-	sink := o.sink
-	o.mu.Unlock()
-	if sink != nil {
-		startNs := time.Since(o.epoch).Nanoseconds() - d.Nanoseconds()
-		sink.Emit(Event{
-			Kind:    "span",
-			Rank:    o.rank,
-			Name:    name,
-			Path:    name,
-			StartNs: startNs,
-			DurNs:   d.Nanoseconds(),
-		})
-	}
-}
-
 // Section implements Observer.
 func (o *Obs) Section(name string) (time.Duration, int) {
 	o.mu.Lock()
