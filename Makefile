@@ -28,8 +28,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# go test's default 10-minute timeout is too short for internal/core under
+# the race detector on a 2-core host (~19 minutes).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 race-decomp:
 	$(GO) test -race ./internal/core -run 'TestDecompRankCountInvariance|TestDecompRestartRoundTrip' -count 1

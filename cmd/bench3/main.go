@@ -175,6 +175,14 @@ func runDataflow(cfg core.Config, remap core.RemapMode, ranks, steps int, decomp
 // while rank 1 drives the matching exchanges, which are themselves
 // allocation-free after warm-up so they do not pollute the count.
 func measureHaloAllocs() float64 {
+	// The ranks share one P for the measurement. A rank that parks on its
+	// mailbox takes a runtime sudog from its P's cache, and the cache of
+	// whichever P it wakes on gets it back; across two Ps one cache
+	// drains, and once mallocsPer's runtime.GC() has emptied the central
+	// cache the runtime allocates a fresh sudog, counted here though the
+	// exchange code allocates nothing. On one P the warm-up fills the only
+	// cache, so the delta counts the exchanges alone.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const iters = 100
 	var allocs float64
 	par.Run(2, func(c *par.Comm) {

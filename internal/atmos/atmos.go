@@ -124,6 +124,27 @@ func (m *Model) Decompose(c *par.Comm) (grid.Decomp, error) {
 	return d, nil
 }
 
+// sweep is a loop body bound once, with the index mapping of the
+// decomposed iteration sets, so launching it allocates nothing.
+type sweep struct {
+	body func(int)
+	set  []int // decomposed iteration set; nil for the owned range
+	c0   int   // first owned cell
+	at   func(i int)
+}
+
+func newSweep(body func(int)) *sweep {
+	s := &sweep{body: body}
+	s.at = func(i int) {
+		if s.set != nil {
+			s.body(s.set[i])
+		} else {
+			s.body(s.c0 + i)
+		}
+	}
+	return s
+}
+
 // The loop helpers below pick the iteration set for each sweep class. In the
 // replicated case they are exactly the original full-range ParallelFor, so
 // the 1-rank answer is bit-identical by construction; decomposed, they visit
@@ -131,50 +152,39 @@ func (m *Model) Decompose(c *par.Comm) (grid.Decomp, error) {
 // identical either way, which is what makes the decomposed answer
 // rank-count-invariant bit-for-bit.
 
-// forExtCells sweeps the extended patch: owned cells plus the ring-1 halo.
-// Cell diagnostics (tv, phi, ke, div, θ) and physics columns run here so
-// that edge and ownership stencils never read a stale cell.
-func (m *Model) forExtCells(fn func(c int)) {
+// extCells sweeps the extended patch: owned cells plus the ring-1 halo.
+// Cell diagnostics (tv, phi, θ) and physics columns run here so that edge
+// and ownership stencils never read a stale cell.
+func (m *Model) extCells(s *sweep) {
 	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NCells(), fn)
+		m.Sp.ParallelFor(m.Mesh.NCells(), s.body)
 		return
 	}
-	ext := m.dec.ExtCells
-	m.Sp.ParallelFor(len(ext), func(i int) { fn(ext[i]) })
+	s.set = m.dec.ExtCells
+	m.Sp.ParallelFor(len(s.set), s.at)
 }
 
-// forOwnedCells sweeps only the owned contiguous range — prognostic
+// ownedCells sweeps only the owned contiguous range — prognostic
 // writebacks (Ps, T, Qv) whose halo copies arrive by exchange.
-func (m *Model) forOwnedCells(fn func(c int)) {
+func (m *Model) ownedCells(s *sweep) {
 	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NCells(), fn)
+		m.Sp.ParallelFor(m.Mesh.NCells(), s.body)
 		return
 	}
-	c0 := m.dec.C0
-	m.Sp.ParallelFor(m.dec.NOwned(), func(i int) { fn(c0 + i) })
+	s.set, s.c0 = nil, m.dec.C0
+	m.Sp.ParallelFor(m.dec.NOwned(), s.at)
 }
 
-// forCompEdges sweeps the computed edges: every edge with at least one owned
+// compEdges sweeps the computed edges: every edge with at least one owned
 // endpoint. Adjacent ranks compute the shared boundary edges redundantly
 // from identical inputs, so no edge-tendency exchange is needed.
-func (m *Model) forCompEdges(fn func(e int)) {
+func (m *Model) compEdges(s *sweep) {
 	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NEdges(), fn)
+		m.Sp.ParallelFor(m.Mesh.NEdges(), s.body)
 		return
 	}
-	ce := m.dec.CompEdges
-	m.Sp.ParallelFor(len(ce), func(i int) { fn(ce[i]) })
-}
-
-// forCompVerts sweeps the vertices of the computed edges; their three-cell
-// and three-edge stencils stay inside the extended sets.
-func (m *Model) forCompVerts(fn func(v int)) {
-	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NVertices(), fn)
-		return
-	}
-	cv := m.dec.CompVerts
-	m.Sp.ParallelFor(len(cv), func(i int) { fn(cv[i]) })
+	s.set = m.dec.CompEdges
+	m.Sp.ParallelFor(len(s.set), s.at)
 }
 
 // New builds the model at the given mesh refinement level with nlev levels.

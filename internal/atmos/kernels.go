@@ -2,6 +2,7 @@ package atmos
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/pp"
@@ -42,19 +43,19 @@ type atmGeom[T pp.Float] struct {
 	re               T
 
 	// Cell sweeps: ragged EdgesOnCell flattened to [ceStart[c], ceStart[c+1]).
-	ceStart       []int32 // [nc+1]
-	ceEdge        []int32 // per slot: edge index
-	wX, wY, wZ    []T     // per slot: reconstruction weight vector
-	sdv           []T     // per slot: sign·Dv
-	areaRR        []T     // per cell: (AreaCell·re)·re
+	ceStart    []int32 // [nc+1]
+	ceEdge     []int32 // per slot: edge index
+	wX, wY, wZ []T     // per slot: reconstruction weight vector
+	sdv        []T     // per slot: sign·Dv
+	areaRR     []T     // per cell: (AreaCell·re)·re
 	// Vertex sweeps: fixed degree 3.
-	veEdge        []int32 // [3*nv]
-	sdc           []T     // [3*nv]: sign·Dc
-	dualRR        []T     // per vertex: (AreaDual·re)·re
+	veEdge []int32 // [3*nv]
+	sdc    []T     // [3*nv]: sign·Dc
+	dualRR []T     // per vertex: (AreaDual·re)·re
 	// Edge sweeps.
-	ec1, ec2     []int32 // cells on edge
-	ev1, ev2     []int32 // vertices on edge
-	tX, tY, tZ   []T     // edge tangent t = mid × n̂ (ẑ×n̂ direction)
+	ec1, ec2   []int32 // cells on edge
+	ev1, ev2   []int32 // vertices on edge
+	tX, tY, tZ []T     // edge tangent t = mid × n̂ (ẑ×n̂ direction)
 }
 
 // edgeGeomF is the float64 per-edge geometry shared by both momentum
@@ -396,9 +397,10 @@ func atmMomentumKernel(s pp.Space, args any) {
 
 // --- driver scratch ---
 
-// dyScratch is the persistent per-model dycore state: the arrays the
-// original dynamicsSubstep allocated per call, the geometry tables, and the
-// pre-bound argument bundles. Externally visible buffers (newU, dpsDt) are
+// dyScratch is the persistent per-model stepping state: the arrays the
+// dycore, tracer and physics steps would otherwise allocate per call, the
+// geometry tables, the pre-bound argument bundles and sweeps, and the
+// column scratch pool. Externally visible buffers (newU, dpsDt) are
 // zero-filled each substep so decomposed runs see exactly the fresh-
 // allocation semantics the rank-invariance test pins.
 type dyScratch struct {
@@ -409,6 +411,26 @@ type dyScratch struct {
 	vcx, vcy, vcz []float64
 	ke, div, vort []float64
 	newU, dpsDt   []float64
+
+	// Level-only logarithms of the tv/phi integral: ln(σ_bot/σ_k) and
+	// ln(σ_bot/σ_top) of layer k, the same Log on the same inputs as the
+	// per-cell sweep used to evaluate.
+	lnBotMid, lnBotTop []float64
+
+	// Tracer-step buffers: pre-window ps, θ, and the transported θ and qv.
+	psOld, theta, newTheta, newQv []float64
+	trX, trOut                    []float64 // transport's current tracer and result
+
+	// Physics-step cell drag tendencies and per-worker column scratch.
+	duCell, dvCell []float64
+	cols           sync.Pool // *columnBuf
+
+	dt, physDt float64 // current dycore substep and physics step lengths
+
+	// Bound sweeps of the non-kernel loops in dycore.go.
+	swTvPhi, swLnPs, swDpsDt, swFlux, swPs *sweep
+	swTheta, swTransport, swTracerOut      *sweep
+	swColumn, swProject                    *sweep
 
 	bKeDiv *keDivArgs[float64]
 	bVort  *vortArgs[float64]
@@ -441,20 +463,40 @@ func (m *Model) dyEnsure() *dyScratch {
 	nlev := m.NLev
 	geo, eg := newAtmGeomF(mesh, m.recon, nlev)
 	s := &dyScratch{
-		geo:  geo,
-		eg:   eg,
-		tv:   make([]float64, nlev*nc),
-		phi:  make([]float64, nlev*nc),
-		lnPs: make([]float64, nc),
-		vcx:  make([]float64, nlev*nc),
-		vcy:  make([]float64, nlev*nc),
-		vcz:  make([]float64, nlev*nc),
-		ke:   make([]float64, nlev*nc),
-		div:  make([]float64, nlev*nc),
-		vort: make([]float64, nlev*nv),
-		newU: make([]float64, nlev*ne),
+		geo:   geo,
+		eg:    eg,
+		tv:    make([]float64, nlev*nc),
+		phi:   make([]float64, nlev*nc),
+		lnPs:  make([]float64, nc),
+		vcx:   make([]float64, nlev*nc),
+		vcy:   make([]float64, nlev*nc),
+		vcz:   make([]float64, nlev*nc),
+		ke:    make([]float64, nlev*nc),
+		div:   make([]float64, nlev*nc),
+		vort:  make([]float64, nlev*nv),
+		newU:  make([]float64, nlev*ne),
 		dpsDt: make([]float64, nc),
+
+		lnBotMid: make([]float64, nlev),
+		lnBotTop: make([]float64, nlev),
+		psOld:    make([]float64, nc),
+		theta:    make([]float64, nlev*nc),
+		newTheta: make([]float64, nlev*nc),
+		newQv:    make([]float64, nlev*nc),
+		duCell:   make([]float64, nc),
+		dvCell:   make([]float64, nc),
 	}
+	for k := 0; k < nlev; k++ {
+		sTop, sBot := m.sigInt(k), m.sigInt(k+1)
+		s.lnBotMid[k] = math.Log(sBot / m.Sig[k])
+		s.lnBotTop[k] = math.Log(sBot / sTop)
+	}
+	s.cols.New = func() any { return newColumnBuf(nlev) }
+	s.swTvPhi, s.swLnPs = newSweep(m.tvPhiCell), newSweep(m.lnPsCell)
+	s.swDpsDt, s.swFlux, s.swPs = newSweep(m.dpsDtCell), newSweep(m.fluxEdge), newSweep(m.psCell)
+	s.swTheta, s.swTransport = newSweep(m.thetaCell), newSweep(m.transportCell)
+	s.swTracerOut = newSweep(m.tracerOutCell)
+	s.swColumn, s.swProject = newSweep(m.physicsColumn), newSweep(m.projectEdge)
 	s.bKeDiv = &keDivArgs[float64]{g: geo, vcx: s.vcx, vcy: s.vcy, vcz: s.vcz, ke: s.ke, div: s.div}
 	s.bKeDiv.rowF = s.bKeDiv.cell
 	s.bVort = &vortArgs[float64]{g: geo, vort: s.vort}
@@ -523,7 +565,13 @@ func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK,
 	nlev := len(tcol)
 	// Per-layer absorber path: water vapour mass (kg/m²) plus a small dry
 	// (well-mixed gas) contribution.
-	path := make([]T, nlev)
+	var pathBuf, planckBuf [stackLevels]T
+	var path, planck []T
+	if nlev <= stackLevels {
+		path, planck = pathBuf[:nlev], planckBuf[:nlev]
+	} else {
+		path, planck = make([]T, nlev), make([]T, nlev)
+	}
 	for k := 0; k < nlev; k++ {
 		lm := ps * dsig[k] / Gravity
 		path[k] = T(q[k]*lm + 1e-4*lm)
@@ -546,7 +594,6 @@ func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK,
 
 	// --- Longwave: emissivity sweep per g-point, top down ---
 	const sb = 5.67e-8
-	planck := make([]T, nlev)
 	for k := 0; k < nlev; k++ {
 		tk := T(tcol[k])
 		planck[k] = T(sb) * tk * tk * tk * tk

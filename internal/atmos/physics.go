@@ -2,7 +2,6 @@ package atmos
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/pp"
 )
@@ -61,23 +60,15 @@ type ConventionalSuite struct {
 	S0     float64 // solar constant, W/m²
 	Albedo float64
 
-	// Spectral g-point counts for the two-stream radiation diagnosis.
-	// The defaults match RRTMG's discretization (112 shortwave and 140
-	// longwave g-points), which is what makes conventional radiation the
-	// dominant physics cost that the AI radiation module replaces.
-	SWGPoints int
-	LWGPoints int
-
 	// DisableRadiation skips the two-stream diagnosis; the AI suite sets it
 	// on its retained conventional diagnostic module, because the AI
 	// radiation module replaces exactly that computation (§5.2.1).
 	DisableRadiation bool
 
-	// Cached per-g-point absorption coefficients, rebuilt when the g-point
-	// counts change. Columns run concurrently under ParallelFor, so the
-	// lazy build is mutex-guarded; after the first column it is a
-	// check-and-return.
-	kMu      sync.Mutex
+	// Per-g-point absorption coefficients of the two-stream diagnosis,
+	// built once: RRTMG's discretization (swGPoints shortwave and
+	// lwGPoints longwave g-points), which is what makes conventional
+	// radiation the dominant physics cost the AI radiation module replaces.
 	swK, lwK []float64
 }
 
@@ -94,10 +85,25 @@ func NewConventionalSuite(m *Model) *ConventionalSuite {
 		Ce:      1.2e-3,
 		S0:      1361,
 		Albedo:  0.3,
-
-		SWGPoints: 112,
-		LWGPoints: 140,
+		swK:     gTable(swGPoints, 2e-4, 9),
+		lwK:     gTable(lwGPoints, 5e-4, 8),
 	}
+}
+
+// Spectral g-point counts of the two-stream radiation diagnosis.
+const (
+	swGPoints = 112
+	lwGPoints = 140
+)
+
+// gTable returns n log-spaced absorption coefficients from k0 (window) to
+// k0·e^span (saturated).
+func gTable(n int, k0, span float64) []float64 {
+	k := make([]float64, n)
+	for g := range k {
+		k[g] = k0 * math.Exp(span*float64(g)/float64(n-1))
+	}
+	return k
 }
 
 // Name implements Suite.
@@ -216,29 +222,8 @@ func (s *ConventionalSuite) TwoStreamRadiation(in ColumnIn) (gsw, glw float64) {
 	nlev := len(in.T)
 	m := s.m
 	ps := in.P[nlev-1] / m.Sig[nlev-1]
-	swK, lwK := s.gTables()
 	if m.kprec == pp.PrecMixed {
-		return twoStreamRad[float32](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, swK, lwK)
+		return twoStreamRad[float32](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, s.swK, s.lwK)
 	}
-	return twoStreamRad[float64](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, swK, lwK)
-}
-
-// gTables returns the log-spaced absorption coefficient tables, window to
-// saturated, building them on first use or when the g-point counts change.
-func (s *ConventionalSuite) gTables() (swK, lwK []float64) {
-	s.kMu.Lock()
-	defer s.kMu.Unlock()
-	if len(s.swK) != s.SWGPoints {
-		s.swK = make([]float64, s.SWGPoints)
-		for g := range s.swK {
-			s.swK[g] = 2e-4 * math.Exp(9*float64(g)/float64(s.SWGPoints-1))
-		}
-	}
-	if len(s.lwK) != s.LWGPoints {
-		s.lwK = make([]float64, s.LWGPoints)
-		for g := range s.lwK {
-			s.lwK[g] = 5e-4 * math.Exp(8*float64(g)/float64(s.LWGPoints-1))
-		}
-	}
-	return s.swK, s.lwK
+	return twoStreamRad[float64](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, s.swK, s.lwK)
 }

@@ -14,6 +14,19 @@ import (
 // exited. Twelve base steps at 25v10 cover two ocean couplings plus the
 // atmosphere and ice couplings in between.
 func TestStepLeavesNoGoroutines(t *testing.T) {
+	checkStepsLeaveNoGoroutines(t, func() pp.Space { return pp.Serial{} })
+}
+
+// The Host space's helpers outlive a launch by their spin window only:
+// with both ranks sharing one Host, as the command-line model runs, the
+// count returns to baseline once the window has passed.
+func TestHostStepLeavesNoGoroutines(t *testing.T) {
+	h := pp.NewHost(2)
+	checkStepsLeaveNoGoroutines(t, func() pp.Space { return h })
+}
+
+func checkStepsLeaveNoGoroutines(t *testing.T, space func() pp.Space) {
+	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +34,7 @@ func TestStepLeavesNoGoroutines(t *testing.T) {
 	const steps = 12
 	base := runtime.NumGoroutine()
 	par.Run(2, func(c *par.Comm) {
-		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}))
+		e, err := NewWithOptions(cfg, c, WithSpace(space()))
 		if err != nil {
 			t.Error(err)
 			return

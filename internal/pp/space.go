@@ -7,7 +7,14 @@
 // execution-space handle, and runs unchanged on any backend:
 //
 //   - Serial: the MPE-only baseline (one management core per process);
-//   - Host: a goroutine worker pool, the OpenMP-threads analogue;
+//   - Host: a goroutine worker pool, the OpenMP-threads analogue. The
+//     caller runs the first block of each launch; the helpers persist
+//     between launches, spinning on a per-helper state word for a bounded
+//     window and then exiting, so back-to-back launches start without a
+//     spawn or a wake-up and an idle Host holds no goroutine. Launches that
+//     cannot use the helpers — another launch holds them, the launch is
+//     nested inside a body, or workers exceeds GOMAXPROCS — spawn their
+//     blocks instead (see host.go);
 //   - CPE: a simulated Sunway compute-processing-element cluster — a fixed
 //     64-worker gang with block-cyclic scheduling and per-worker scratch,
 //     mirroring the athread/LDM programming model;
@@ -65,40 +72,6 @@ func (Serial) ParallelReduce(n int, identity float64, f func(i int) float64, joi
 		acc = join(acc, f(i))
 	}
 	return acc
-}
-
-// Host is a shared worker-pool space, the analogue of an OpenMP parallel
-// region on the host cores.
-type Host struct {
-	workers int
-}
-
-// NewHost creates a Host space with the given worker count; workers <= 0
-// selects GOMAXPROCS.
-func NewHost(workers int) *Host {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Host{workers: workers}
-}
-
-// Name implements Space.
-func (h *Host) Name() string { return "Host" }
-
-// Concurrency implements Space.
-func (h *Host) Concurrency() int { return h.workers }
-
-// ParallelFor implements Space with a static block schedule, the OpenMP
-// default ("schedule(static)").
-func (h *Host) ParallelFor(n int, f func(i int)) {
-	parallelForBlocks(h.workers, n, f)
-}
-
-// ParallelReduce implements Space. Each worker reduces its block privately
-// and block results are joined in worker order, so the result is
-// deterministic for a fixed worker count.
-func (h *Host) ParallelReduce(n int, identity float64, f func(i int) float64, join func(a, b float64) float64) float64 {
-	return parallelReduceBlocks(h.workers, n, identity, f, join)
 }
 
 // CPE simulates one Sunway compute-processing-element cluster: a gang of 64
@@ -247,73 +220,6 @@ func (c *CPE) ParallelReduce(n int, identity float64, f func(i int) float64, joi
 		} else {
 			acc = join(acc, pv)
 		}
-	}
-	return acc
-}
-
-// parallelForBlocks statically partitions [0,n) into one contiguous block
-// per worker.
-func parallelForBlocks(workers, n int, f func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-func parallelReduceBlocks(workers, n int, identity float64, f func(i int) float64, join func(a, b float64) float64) float64 {
-	if n == 0 {
-		return identity
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = join(acc, f(i))
-		}
-		return acc
-	}
-	partials := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := identity
-			for i := lo; i < hi; i++ {
-				acc = join(acc, f(i))
-			}
-			partials[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	acc := identity
-	for _, p := range partials {
-		acc = join(acc, p)
 	}
 	return acc
 }
