@@ -35,6 +35,7 @@ race:
 
 race-decomp:
 	$(GO) test -race ./internal/core -run 'TestDecompRankCountInvariance|TestDecompRestartRoundTrip' -count 1
+	$(GO) test -race ./internal/grid -run 'TestIcosDecomp|TestIcosExchange' -count 1
 
 race-ocn-decomp:
 	$(GO) test -race ./internal/grid -run 'TestTripolar' -count 1

@@ -128,20 +128,13 @@ func (m *Model) Decompose(c *par.Comm) (grid.Decomp, error) {
 // decomposed iteration sets, so launching it allocates nothing.
 type sweep struct {
 	body func(int)
-	set  []int // decomposed iteration set; nil for the owned range
-	c0   int   // first owned cell
+	set  []int // decomposed iteration set
 	at   func(i int)
 }
 
 func newSweep(body func(int)) *sweep {
 	s := &sweep{body: body}
-	s.at = func(i int) {
-		if s.set != nil {
-			s.body(s.set[i])
-		} else {
-			s.body(s.c0 + i)
-		}
-	}
+	s.at = func(i int) { s.body(s.set[i]) }
 	return s
 }
 
@@ -164,15 +157,15 @@ func (m *Model) extCells(s *sweep) {
 	m.Sp.ParallelFor(len(s.set), s.at)
 }
 
-// ownedCells sweeps only the owned contiguous range — prognostic
-// writebacks (Ps, T, Qv) whose halo copies arrive by exchange.
+// ownedCells sweeps only the owned cells — prognostic writebacks (Ps, T,
+// Qv) whose halo copies arrive by exchange.
 func (m *Model) ownedCells(s *sweep) {
 	if m.dec == nil {
 		m.Sp.ParallelFor(m.Mesh.NCells(), s.body)
 		return
 	}
-	s.set, s.c0 = nil, m.dec.C0
-	m.Sp.ParallelFor(m.dec.NOwned(), s.at)
+	s.set = m.dec.Owned
+	m.Sp.ParallelFor(len(s.set), s.at)
 }
 
 // compEdges sweeps the computed edges: every edge with at least one owned

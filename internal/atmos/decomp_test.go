@@ -40,7 +40,7 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 				m.StepModel()
 			}
 			nc, ne := m.Mesh.NCells(), m.Mesh.NEdges()
-			for c2 := d.C0; c2 < d.C1; c2++ {
+			for _, c2 := range d.Owned {
 				if m.Ps[c2] != ref.Ps[c2] {
 					t.Errorf("ranks=%d rank %d: Ps[%d] = %v, want %v", ranks, c.Rank(), c2, m.Ps[c2], ref.Ps[c2])
 					return

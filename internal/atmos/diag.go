@@ -111,16 +111,22 @@ func (m *Model) MaxWindLocal() float64 {
 			}
 		}
 	}
+	m.forOwned(scan)
+	return worst
+}
+
+// forOwned calls f on this rank's owned cells in ascending order (every
+// cell when replicated).
+func (m *Model) forOwned(f func(c int)) {
 	if m.dec == nil {
 		for c := 0; c < m.Mesh.NCells(); c++ {
-			scan(c)
+			f(c)
 		}
-		return worst
+		return
 	}
-	for c := m.dec.C0; c < m.dec.C1; c++ {
-		scan(c)
+	for _, c := range m.dec.Owned {
+		f(c)
 	}
-	return worst
 }
 
 // TotalMoistureLocal returns the water-vapour mass over this rank's owned
@@ -128,17 +134,13 @@ func (m *Model) MaxWindLocal() float64 {
 func (m *Model) TotalMoistureLocal() float64 {
 	nc := m.Mesh.NCells()
 	re2 := grid.EarthRadius * grid.EarthRadius
-	c0, c1 := 0, nc
-	if m.dec != nil {
-		c0, c1 = m.dec.C0, m.dec.C1
-	}
 	var sum float64
-	for c := c0; c < c1; c++ {
+	m.forOwned(func(c int) {
 		colMass := m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
 		for k := 0; k < m.NLev; k++ {
 			sum += m.Qv[k*nc+c] * colMass * m.DSig[k]
 		}
-	}
+	})
 	return sum
 }
 
@@ -189,19 +191,15 @@ func (m *Model) MinPs() (float64, int) {
 }
 
 // MinPsLocal returns the lowest surface pressure over this rank's owned
-// cells (all cells when replicated). Owned ranges partition the mesh, so a
+// cells (all cells when replicated). Owned cells partition the mesh, so a
 // min-allreduce of the local values reproduces MinPs.
 func (m *Model) MinPsLocal() float64 {
 	best := math.Inf(1)
-	c0, c1 := 0, m.Mesh.NCells()
-	if m.dec != nil {
-		c0, c1 = m.dec.C0, m.dec.C1
-	}
-	for c := c0; c < c1; c++ {
+	m.forOwned(func(c int) {
 		if m.Ps[c] < best {
 			best = m.Ps[c]
 		}
-	}
+	})
 	return best
 }
 

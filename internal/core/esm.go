@@ -212,10 +212,10 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	}
 
 	// Atmosphere + land domain decomposition: partition the icosahedral
-	// cells into contiguous owned ranges, register the halo-exchange plans
-	// with the atmosphere, split the land columns with the same ownership
-	// map (after Adopt, so adopted cells are partitioned too), and build
-	// the distributed-coupling routers. Replicated operation — one rank, or
+	// cells into compact owned patches (recursive coordinate bisection),
+	// register the halo-exchange plans with the atmosphere, split the land
+	// columns with the same ownership map (after Adopt, so adopted cells
+	// are partitioned too), and build the distributed-coupling routers. Replicated operation — one rank, or
 	// WithAtmDecomp(false) — leaves dec nil and every legacy path intact.
 	e.u10 = make([]float64, atm.Mesh.NCells())
 	e.v10 = make([]float64, atm.Mesh.NCells())

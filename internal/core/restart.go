@@ -15,9 +15,9 @@ import (
 // subfile-partitioned parallel I/O and resumes bit-for-bit. Distributed
 // ocean/ice fields are written as per-row chunks of the global index space
 // by every rank. Replicated atmosphere and land states are written by rank 0
-// only; decomposed, every rank writes the chunks it owns — contiguous cell
-// ranges, the per-level runs of its owned edges, and the runs of its owned
-// land slots — so the checkpoint is a rank-count-independent global image
+// only; decomposed, every rank writes the chunks it owns — the runs of its
+// owned cells, the per-level runs of its owned edges, and the runs of its
+// owned land slots — so the checkpoint is a rank-count-independent global image
 // either way. Each rank reads the whole (small) restart set back and keeps
 // its own region, which also makes restarts valid across rank counts and
 // across the replicated/decomposed dataflows.
@@ -255,7 +255,7 @@ func (e *ESM) restartFields() []pario.Field {
 		if !ok {
 			panic("core: decomposed atmosphere restart requires an edge-aware decomposition")
 		}
-		edgeRuns := ownedLandRuns(ed.OwnedEdgeList())
+		edgeRuns := grid.Runs(ed.OwnedEdgeList())
 		edgeField := func(name string, data []float64) {
 			for k := 0; k < m.NLev; k++ {
 				for _, r := range edgeRuns {
@@ -273,7 +273,7 @@ func (e *ESM) restartFields() []pario.Field {
 			}
 		}
 		// Land: the runs of this rank's owned slots.
-		for _, r := range ownedLandRuns(e.ownSlots) {
+		for _, r := range grid.Runs(e.ownSlots) {
 			chunk("lnd.tsoil", len(e.Lnd.TSoil), r[0], e.Lnd.TSoil[r[0]:r[0]+r[1]])
 			chunk("lnd.bucket", len(e.Lnd.Bucket), r[0], e.Lnd.Bucket[r[0]:r[0]+r[1]])
 		}

@@ -55,6 +55,22 @@ type Decomp interface {
 	SetWire(w par.WireFormat)
 }
 
+// Runs returns the maximal {start, length} runs of consecutive values in an
+// ascending index list — the OwnedRanges form of an owned list, and the
+// chunks a decomposed restart writes per rank.
+func Runs(sorted []int) [][2]int {
+	var runs [][2]int
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[j-1]+1 {
+			j++
+		}
+		runs = append(runs, [2]int{sorted[i], j - i})
+		i = j
+	}
+	return runs
+}
+
 // EdgeDecomp is the optional extension implemented by decompositions that
 // also partition a mesh edge set (the atmosphere's velocity dofs live on
 // edges). Restart and state-assembly code asserts on it instead of naming a

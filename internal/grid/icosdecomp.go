@@ -1,21 +1,31 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/precision"
 )
 
 // IcosDecomp is the icosahedral-mesh analogue of the tripolar Block: a
-// contiguous-range domain decomposition of the atmosphere's cells across the
+// spatially compact domain decomposition of the atmosphere's cells across the
 // communicator, with precomputed halo adjacency and an allocation-free halo
 // exchange over par point-to-point messages.
 //
-// Ownership is by contiguous cell range: rank r owns cells
-// [Starts[r], Starts[r+1]), with Starts[r] = ⌊r·N/size⌋, so every cell is
-// owned by exactly one rank and no rank holds more than ⌈N/size⌉ cells for
-// any rank count, dividing or not.
+// Ownership is by recursive coordinate bisection (RCB) of the cell centres:
+// the cell set is split along the Cartesian axis of its largest extent, the
+// lower side taking ⌊len·⌊n/2⌋/n⌋ cells for the first ⌊n/2⌋ of its n ranks
+// (coordinate ties broken by cell index), and each side recurses until one
+// rank is left. Every cell is owned by exactly one rank, no rank holds more
+// than ⌈N/size⌉ cells for any rank count, dividing or not, and each rank's
+// region is a compact patch of the sphere, so its ring-1 halo is a thin
+// boundary strip. (Cell indices follow the mesh's bisection generation
+// order, which scatters index ranges over the whole globe.) The partition
+// is a pure function of the mesh and the rank count: every rank computes
+// the identical owner table offline, and Owned lists this rank's cells in
+// ascending global order, so every iteration set stays ascending.
 //
 // The stencil closure of the dycore fixes the derived sets:
 //
@@ -37,15 +47,15 @@ import (
 //     set, used for restart writes.
 //
 // The exchange plans are built offline and symmetrically: every rank derives
-// every rank's halo from the same mesh and the same ownership rule, so the
+// every rank's halo from the same mesh and the same owner table, so the
 // send and receive lists of a pair agree without any negotiation traffic
 // (the MCT GSMap trick applied to the mesh halo).
 type IcosDecomp struct {
 	M    *IcosMesh
 	comm *par.Comm
 
-	Starts []int // len size+1; rank r owns [Starts[r], Starts[r+1])
-	C0, C1 int   // this rank's owned cell range
+	owner []int32 // [nCells] owning rank of every cell, identical on every rank
+	Owned []int   // this rank's owned cells, ascending
 
 	ExtCells  []int // owned ∪ ring-1 halo, ascending
 	HaloCells []int // ring-1 halo only, ascending
@@ -89,7 +99,7 @@ type IcosDecomp struct {
 	edgeGS [2][]*precision.GroupScaled
 	rbuf   []float64
 
-	ownedRanges [][2]int // cached single {C0, C1-C0} run for Decomp
+	ownedRanges [][2]int // cached runs of Owned for Decomp
 
 	obs HaloObserver
 }
@@ -129,12 +139,13 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	if size > nc {
 		return nil, fmt.Errorf("grid: %d ranks exceed %d cells", size, nc)
 	}
-	d := &IcosDecomp{M: mesh, comm: comm}
-	d.Starts = make([]int, size+1)
-	for r := 0; r <= size; r++ {
-		d.Starts[r] = r * nc / size
+	d := &IcosDecomp{M: mesh, comm: comm, owner: rcbOwners(mesh.CellCenter, size)}
+	// Per-rank owned lists, ascending: one pass over the owner table.
+	owned := make([][]int, size)
+	for c, o := range d.owner {
+		owned[o] = append(owned[o], c)
 	}
-	d.C0, d.C1 = d.Starts[rank], d.Starts[rank+1]
+	d.Owned = owned[rank]
 
 	owner := d.Owner
 	// Per-rank ring-1 halo cells, from one pass over the cross-owner
@@ -142,7 +153,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	halo := make([][]int, size)
 	seen := make([]int, nc) // rank+1 markers, avoids clearing between ranks
 	for r := 0; r < size; r++ {
-		for c := d.Starts[r]; c < d.Starts[r+1]; c++ {
+		for _, c := range owned[r] {
 			for _, nb := range mesh.CellsOnCell[c] {
 				if owner(nb) != r && seen[nb] != r+1 {
 					seen[nb] = r + 1
@@ -152,10 +163,10 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		}
 	}
 	for r := range halo {
-		sortInts(halo[r])
+		slices.Sort(halo[r])
 	}
 	d.HaloCells = halo[rank]
-	d.ExtCells = mergeSorted(rangeInts(d.C0, d.C1), d.HaloCells)
+	d.ExtCells = mergeSorted(d.Owned, d.HaloCells)
 	d.inExtCell = make([]bool, nc)
 	for _, c := range d.ExtCells {
 		d.inExtCell[c] = true
@@ -164,7 +175,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	ne := mesh.NEdges()
 	// Edge sets for this rank.
 	inComp := make([]bool, ne)
-	for c := d.C0; c < d.C1; c++ {
+	for _, c := range d.Owned {
 		for _, e := range mesh.EdgesOnCell[c] {
 			inComp[e] = true
 		}
@@ -235,13 +246,13 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 				}
 			}
 		}
-		for c := d.Starts[r]; c < d.Starts[r+1]; c++ {
+		for _, c := range owned[r] {
 			collect(c)
 		}
 		for _, c := range halo[r] {
 			collect(c)
 		}
-		sortInts(extEdgeOf)
+		slices.Sort(extEdgeOf)
 		for _, e := range extEdgeOf {
 			c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
 			if owner(c1) == r || owner(c2) == r {
@@ -288,8 +299,57 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		d.cellGS[pb] = make([]*precision.GroupScaled, len(d.Peers))
 		d.edgeGS[pb] = make([]*precision.GroupScaled, len(d.Peers))
 	}
-	d.ownedRanges = [][2]int{{d.C0, d.C1 - d.C0}}
+	d.ownedRanges = Runs(d.Owned)
 	return d, nil
+}
+
+// rcbOwners partitions points over size ranks by recursive coordinate
+// bisection and returns the owning rank of every point. A set of points
+// for n ranks is split along the axis of its largest coordinate extent; the
+// lower ⌊len·⌊n/2⌋/n⌋ points in (coordinate, index) order go to the first
+// ⌊n/2⌋ ranks, the rest to the others, and each side recurses. The integer
+// split keeps every part at ⌊N/size⌋ or ⌈N/size⌉ points, and the total
+// (coordinate, index) order makes the result a pure function of the
+// points, identical on every rank.
+func rcbOwners(pts []Vec3, size int) []int32 {
+	owner := make([]int32, len(pts))
+	idx := make([]int, len(pts))
+	for i := range idx {
+		idx[i] = i
+	}
+	var split func(set []int, r0, n int)
+	split = func(set []int, r0, n int) {
+		if n == 1 {
+			for _, c := range set {
+				owner[c] = int32(r0)
+			}
+			return
+		}
+		lo, hi := pts[set[0]], pts[set[0]]
+		for _, c := range set[1:] {
+			p := pts[c]
+			lo = Vec3{min(lo.X, p.X), min(lo.Y, p.Y), min(lo.Z, p.Z)}
+			hi = Vec3{max(hi.X, p.X), max(hi.Y, p.Y), max(hi.Z, p.Z)}
+		}
+		coord := func(p Vec3) float64 { return p.X }
+		if ey, ez := hi.Y-lo.Y, hi.Z-lo.Z; ey > hi.X-lo.X && ey >= ez {
+			coord = func(p Vec3) float64 { return p.Y }
+		} else if ez > hi.X-lo.X && ez > ey {
+			coord = func(p Vec3) float64 { return p.Z }
+		}
+		slices.SortFunc(set, func(a, b int) int {
+			if c := cmp.Compare(coord(pts[a]), coord(pts[b])); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		nLo := n / 2
+		cut := len(set) * nLo / n
+		split(set[:cut], r0, nLo)
+		split(set[cut:], r0+nLo, n-nLo)
+	}
+	split(idx, 0, size)
+	return owner
 }
 
 // Comm implements Decomp.
@@ -298,36 +358,38 @@ func (d *IcosDecomp) Comm() *par.Comm { return d.comm }
 // NGlobal implements Decomp: the global cell count.
 func (d *IcosDecomp) NGlobal() int { return d.M.NCells() }
 
-// OwnedRanges implements Decomp: one contiguous {C0, C1-C0} run. The slice
-// is cached; callers must not mutate it.
+// OwnedRanges implements Decomp: the ascending {start, length} runs of
+// Owned. The slice is cached; callers must not mutate it.
 func (d *IcosDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 
 // OwnedEdgeList implements EdgeDecomp: the ascending edges whose first cell
 // is owned — a partition of the edge set across ranks.
 func (d *IcosDecomp) OwnedEdgeList() []int { return d.OwnEdges }
 
-// Gather implements Decomp: it assembles the owned ranges of a one-level
-// global-layout cell field onto rank 0 (nil elsewhere). Because ownership is
-// a single contiguous range per rank, the gathered chunks concatenate in
-// rank order.
+// Gather implements Decomp: it assembles the owned cells of a one-level
+// global-layout cell field onto rank 0 (nil elsewhere). Each rank ships its
+// owned values in ascending cell order; rank 0 scatters them through the
+// owner table, whose per-rank cells appear in the same ascending order.
 func (d *IcosDecomp) Gather(f []float64) []float64 {
-	chunk := append([]float64(nil), f[d.C0:d.C1]...)
+	chunk := make([]float64, len(d.Owned))
+	for i, c := range d.Owned {
+		chunk[i] = f[c]
+	}
 	chunks := par.Gather(d.comm, 0, chunk)
 	if d.comm.Rank() != 0 {
 		return nil
 	}
 	out := make([]float64, d.M.NCells())
-	for r, ch := range chunks {
-		copy(out[d.Starts[r]:d.Starts[r+1]], ch)
+	next := make([]int, len(chunks))
+	for c, o := range d.owner {
+		out[c] = chunks[o][next[o]]
+		next[o]++
 	}
 	return out
 }
 
-// Owner returns the rank owning cell c under the contiguous-range rule.
-func (d *IcosDecomp) Owner(c int) int {
-	n := len(d.Starts) - 1
-	return (n*(c+1) - 1) / d.M.NCells()
-}
+// Owner returns the rank owning cell c: a lookup in the RCB owner table.
+func (d *IcosDecomp) Owner(c int) int { return int(d.owner[c]) }
 
 // InExt reports whether cell c is in this rank's extended (owned + halo)
 // region.
@@ -335,9 +397,6 @@ func (d *IcosDecomp) InExt(c int) bool { return d.inExtCell[c] }
 
 // InExtEdge reports whether edge e is in this rank's extended edge set.
 func (d *IcosDecomp) InExtEdge(e int) bool { return d.inExtEdge[e] }
-
-// NOwned returns the number of owned cells.
-func (d *IcosDecomp) NOwned() int { return d.C1 - d.C0 }
 
 // SetObserver attaches the halo traffic counters:
 // cpl.halo.{msgs,bytes} with component="atm".
@@ -478,15 +537,6 @@ const (
 	ctrWireBytes    = "cpl.wire.bytes"
 )
 
-// rangeInts returns [lo, hi) as a slice.
-func rangeInts(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
 // mergeSorted merges two ascending, disjoint int slices.
 func mergeSorted(a, b []int) []int {
 	out := make([]int, 0, len(a)+len(b))
@@ -502,18 +552,4 @@ func mergeSorted(a, b []int) []int {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-func sortInts(s []int) {
-	// Insertion sort: the lists are short (ring-1 halos) and mostly sorted
-	// (generated in ascending owner-cell order).
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

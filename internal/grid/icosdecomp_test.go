@@ -18,34 +18,62 @@ func icosMesh(t testing.TB, level int) *IcosMesh {
 }
 
 // decompInvariants checks the structural contract of one rank's decomposition
-// and returns the owned count for the imbalance check.
+// and returns the owned count for the imbalance check. It runs on a rank
+// goroutine, so it reports with t.Errorf and returns at the first breach.
 func decompInvariants(t *testing.T, d *IcosDecomp, rank, size int) int {
 	t.Helper()
 	m := d.M
 	nc := m.NCells()
-	// Owner agrees with the range table, covers [0, size), and owns this
-	// rank's range.
+	// Owner covers [0, size) and agrees with the owned list: Owner(c) ==
+	// rank ⇔ c ∈ Owned.
+	inOwned := make([]bool, nc)
+	for _, c := range d.Owned {
+		inOwned[c] = true
+	}
 	for c := 0; c < nc; c++ {
 		o := d.Owner(c)
 		if o < 0 || o >= size {
-			t.Fatalf("rank %d: Owner(%d) = %d out of range", rank, c, o)
+			t.Errorf("rank %d: Owner(%d) = %d out of range", rank, c, o)
+			return 0
 		}
-		if (c >= d.C0 && c < d.C1) != (o == rank) {
-			t.Fatalf("rank %d: Owner(%d)=%d disagrees with range [%d,%d)", rank, c, o, d.C0, d.C1)
+		if inOwned[c] != (o == rank) {
+			t.Errorf("rank %d: Owner(%d)=%d disagrees with Owned membership %v", rank, c, o, inOwned[c])
+			return 0
 		}
+	}
+	// Owned is strictly ascending, and OwnedRanges are its maximal runs:
+	// ascending, non-overlapping, and covering exactly Owned.
+	var fromRuns []int
+	prevEnd := -2
+	for _, r := range d.OwnedRanges() {
+		if r[1] <= 0 || r[0] <= prevEnd {
+			t.Errorf("rank %d: OwnedRanges run %v not ascending, non-empty and separated (previous end %d)", rank, r, prevEnd)
+			return 0
+		}
+		for c := r[0]; c < r[0]+r[1]; c++ {
+			fromRuns = append(fromRuns, c)
+		}
+		prevEnd = r[0] + r[1]
+	}
+	if !equalInts(fromRuns, d.Owned) {
+		t.Errorf("rank %d: OwnedRanges cover %d cells, want exactly the %d of Owned", rank, len(fromRuns), len(d.Owned))
+		return 0
 	}
 	// ExtCells = owned ∪ halo, ascending, halo disjoint from owned.
 	for i := 1; i < len(d.ExtCells); i++ {
 		if d.ExtCells[i] <= d.ExtCells[i-1] {
-			t.Fatalf("rank %d: ExtCells not strictly ascending at %d", rank, i)
+			t.Errorf("rank %d: ExtCells not strictly ascending at %d", rank, i)
+			return 0
 		}
 	}
-	if len(d.ExtCells) != d.NOwned()+len(d.HaloCells) {
-		t.Fatalf("rank %d: |ExtCells| %d != owned %d + halo %d", rank, len(d.ExtCells), d.NOwned(), len(d.HaloCells))
+	if len(d.ExtCells) != len(d.Owned)+len(d.HaloCells) {
+		t.Errorf("rank %d: |ExtCells| %d != owned %d + halo %d", rank, len(d.ExtCells), len(d.Owned), len(d.HaloCells))
+		return 0
 	}
 	for _, h := range d.HaloCells {
 		if d.Owner(h) == rank {
-			t.Fatalf("rank %d: halo cell %d is owned", rank, h)
+			t.Errorf("rank %d: halo cell %d is owned", rank, h)
+			return 0
 		}
 		// Every halo cell is adjacent to an owned cell.
 		adj := false
@@ -55,14 +83,16 @@ func decompInvariants(t *testing.T, d *IcosDecomp, rank, size int) int {
 			}
 		}
 		if !adj {
-			t.Fatalf("rank %d: halo cell %d not adjacent to owned region", rank, h)
+			t.Errorf("rank %d: halo cell %d not adjacent to owned region", rank, h)
+			return 0
 		}
 	}
 	// Ring-1 closure: every neighbour of an owned cell is in ExtCells.
-	for c := d.C0; c < d.C1; c++ {
+	for _, c := range d.Owned {
 		for _, nb := range m.CellsOnCell[c] {
 			if !d.InExt(nb) {
-				t.Fatalf("rank %d: neighbour %d of owned %d missing from ExtCells", rank, nb, c)
+				t.Errorf("rank %d: neighbour %d of owned %d missing from ExtCells", rank, nb, c)
+				return 0
 			}
 		}
 	}
@@ -72,36 +102,46 @@ func decompInvariants(t *testing.T, d *IcosDecomp, rank, size int) int {
 	for _, e := range d.CompEdges {
 		c1, c2 := m.CellsOnEdge[e][0], m.CellsOnEdge[e][1]
 		if d.Owner(c1) != rank && d.Owner(c2) != rank {
-			t.Fatalf("rank %d: CompEdge %d has no owned endpoint", rank, e)
+			t.Errorf("rank %d: CompEdge %d has no owned endpoint", rank, e)
+			return 0
 		}
 	}
 	for _, e := range d.RecvEdges {
 		c1, c2 := m.CellsOnEdge[e][0], m.CellsOnEdge[e][1]
 		if d.Owner(c1) == rank || d.Owner(c2) == rank {
-			t.Fatalf("rank %d: RecvEdge %d has an owned endpoint", rank, e)
+			t.Errorf("rank %d: RecvEdge %d has an owned endpoint", rank, e)
+			return 0
 		}
 		if !d.InExtEdge(e) {
-			t.Fatalf("rank %d: RecvEdge %d not in ExtEdges", rank, e)
+			t.Errorf("rank %d: RecvEdge %d not in ExtEdges", rank, e)
+			return 0
 		}
 	}
 	for _, v := range d.CompVerts {
 		for _, e := range m.EdgesOnVertex[v] {
 			if !d.InExtEdge(e) {
-				t.Fatalf("rank %d: vertex %d stencil edge %d outside ExtEdges", rank, v, e)
+				t.Errorf("rank %d: vertex %d stencil edge %d outside ExtEdges", rank, v, e)
+				return 0
 			}
 		}
 		for _, c := range m.CellsOnVertex[v] {
 			if !d.InExt(c) {
-				t.Fatalf("rank %d: vertex %d stencil cell %d outside ExtCells", rank, v, c)
+				t.Errorf("rank %d: vertex %d stencil cell %d outside ExtCells", rank, v, c)
+				return 0
 			}
 		}
 	}
-	return d.NOwned()
+	return len(d.Owned)
 }
 
+// TestIcosDecompInvariants checks the decomposition contract at every rank
+// count 1–7, non-powers of two included, where RCB ownership is
+// non-contiguous in cell index: the structural invariants on each rank, an
+// exact Gather of a global-index field, and the global ownership balance.
 func TestIcosDecompInvariants(t *testing.T) {
 	m := icosMesh(t, 2) // 162 cells
-	for _, ranks := range []int{1, 2, 3, 4, 5, 7} {
+	nc := m.NCells()
+	for _, ranks := range []int{1, 2, 3, 4, 5, 6, 7} {
 		owned := make([]int, ranks)
 		ownEdgeCount := make([]int, ranks)
 		par.Run(ranks, func(c *par.Comm) {
@@ -112,7 +152,32 @@ func TestIcosDecompInvariants(t *testing.T) {
 			}
 			owned[c.Rank()] = decompInvariants(t, d, c.Rank(), ranks)
 			ownEdgeCount[c.Rank()] = len(d.OwnEdges)
+			// Gather reproduces a global-index field exactly from the
+			// owned values alone.
+			f := make([]float64, nc)
+			for i := range f {
+				f[i] = math.NaN()
+			}
+			for _, cell := range d.Owned {
+				f[cell] = float64(cell) + 0.5
+			}
+			g := d.Gather(f)
+			if c.Rank() != 0 {
+				if g != nil {
+					t.Errorf("ranks=%d rank %d: Gather returned non-nil off rank 0", ranks, c.Rank())
+				}
+				return
+			}
+			for cell, v := range g {
+				if v != float64(cell)+0.5 {
+					t.Errorf("ranks=%d: gathered cell %d = %v, want %v", ranks, cell, v, float64(cell)+0.5)
+					return
+				}
+			}
 		})
+		if t.Failed() {
+			return // the global checks below would only echo a rank's failure
+		}
 		// Every cell owned exactly once, imbalance ≤ ceil(N/ranks).
 		total, maxOwned := 0, 0
 		for _, n := range owned {
@@ -193,45 +258,82 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestIcosDecompPartitionProperty is the property test over arbitrary rank
-// counts, including ones that do not divide the cell count: the contiguous
-// partition must cover every cell exactly once with imbalance ≤ 1.
+// TestIcosDecompPartitionProperty is the property test of the RCB owner
+// table over arbitrary rank counts, including ones that do not divide the
+// cell count: every cell gets a rank in [0, ranks), and every rank owns
+// ⌊N/ranks⌋ or ⌈N/ranks⌉ cells.
 func TestIcosDecompPartitionProperty(t *testing.T) {
 	m := icosMesh(t, 2)
 	nc := m.NCells()
 	prop := func(seed uint16) bool {
 		ranks := 1 + int(seed)%nc
-		starts := make([]int, ranks+1)
-		for r := 0; r <= ranks; r++ {
-			starts[r] = r * nc / ranks
-		}
-		if starts[0] != 0 || starts[ranks] != nc {
-			return false
-		}
-		minSz, maxSz := nc, 0
-		for r := 0; r < ranks; r++ {
-			sz := starts[r+1] - starts[r]
-			if sz < minSz {
-				minSz = sz
+		count := make([]int, ranks)
+		for _, o := range rcbOwners(m.CellCenter, ranks) {
+			if o < 0 || int(o) >= ranks {
+				return false
 			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-			// Owner formula agrees with the range on the boundary cells.
-			for _, c := range []int{starts[r], starts[r+1] - 1} {
-				if c < starts[r] || c >= starts[r+1] {
-					continue
-				}
-				if o := (ranks*(c+1) - 1) / nc; o != r {
-					return false
-				}
+			count[o]++
+		}
+		lo, hi := nc/ranks, (nc+ranks-1)/ranks
+		for _, n := range count {
+			if n < lo || n > hi {
+				return false
 			}
 		}
-		ceil := (nc + ranks - 1) / ranks
-		return maxSz <= ceil && maxSz-minSz <= 1
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIcosDecompCompactHalo pins the point of the RCB partition: each rank's
+// region is a compact patch, so its ring-1 halo stays a thin strip. Cell
+// indices follow the mesh's bisection generation order, so a contiguous
+// index range scatters over the globe and its halo spans nearly the whole
+// mesh (642 of 642 cells at 2 ranks on level 3). The owner table is a pure
+// function of the mesh: every rank derives the same one, and rebuilding the
+// decomposition reproduces it.
+func TestIcosDecompCompactHalo(t *testing.T) {
+	m := icosMesh(t, 3) // 642 cells
+	nc := m.NCells()
+	for _, ranks := range []int{2, 4} {
+		ext := make([]int, ranks)
+		tables := make([][]int, ranks)
+		par.Run(ranks, func(c *par.Comm) {
+			d, err := NewIcosDecomp(m, c)
+			if err != nil {
+				t.Errorf("NewIcosDecomp: %v", err)
+				return
+			}
+			again, err := NewIcosDecomp(m, c)
+			if err != nil {
+				t.Errorf("NewIcosDecomp (rebuild): %v", err)
+				return
+			}
+			tab := make([]int, nc)
+			for cell := range tab {
+				tab[cell] = d.Owner(cell)
+				if again.Owner(cell) != tab[cell] {
+					t.Errorf("ranks=%d rank %d: rebuilt Owner(%d) = %d, want %d", ranks, c.Rank(), cell, again.Owner(cell), tab[cell])
+					return
+				}
+			}
+			tables[c.Rank()] = tab
+			ext[c.Rank()] = len(d.ExtCells)
+		})
+		for r := 1; r < ranks; r++ {
+			if !equalInts(tables[r], tables[0]) {
+				t.Fatalf("ranks=%d: rank %d derived a different owner table than rank 0", ranks, r)
+			}
+		}
+		bound := 1.4 * float64((nc+ranks-1)/ranks)
+		for r, n := range ext {
+			if float64(n) > bound {
+				t.Errorf("ranks=%d rank %d: |ExtCells| = %d exceeds 1.4·⌈N/size⌉ = %.1f", ranks, r, n, bound)
+			}
+		}
+		t.Logf("ranks=%d: |ExtCells| per rank %v", ranks, ext)
 	}
 }
 
@@ -261,7 +363,7 @@ func TestIcosExchangeMatchesGlobal(t *testing.T) {
 				fe[i] = math.NaN()
 			}
 			for k := 0; k < nlev; k++ {
-				for cell := d.C0; cell < d.C1; cell++ {
+				for _, cell := range d.Owned {
 					fc[k*nc+cell] = cellVal(k, cell)
 				}
 				for _, e := range d.CompEdges {

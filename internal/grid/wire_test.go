@@ -56,7 +56,7 @@ func TestIcosExchangeGS32WithinBudget(t *testing.T) {
 				fc := make([]float64, nlev*nc)
 				fe := make([]float64, nlev*ne)
 				for k := 0; k < nlev; k++ {
-					for cell := d.C0; cell < d.C1; cell++ {
+					for _, cell := range d.Owned {
 						fc[k*nc+cell] = cellVal(k, cell)
 					}
 					for _, e := range d.CompEdges {
